@@ -500,6 +500,26 @@ def relabel_into(host: SimplicialComplex, mapping: Mapping[int, int]) -> Simplic
     return SimplicialComplex(frozenset(keep))
 
 
+def _checked_interface_iso(
+    iso: Mapping[int, int],
+    interface_a: SimplicialComplex,
+    interface_b: SimplicialComplex,
+    name_a: str,
+    name_b: str,
+) -> dict[int, int]:
+    """The iso as a dict, once it is a simplicial isomorphism defined exactly
+    on the vertices of interface_a and onto those of interface_b."""
+    iso = dict(iso)
+    if sorted(iso.keys()) != list(interface_a.vertices):
+        raise MapError(f"iso must be defined exactly on the {name_a} interface vertices")
+    if sorted(iso.values()) != list(interface_b.vertices):
+        raise MapError(f"iso must hit exactly the {name_b} interface vertices")
+    mapped = {Simplex.of(iso[v] for v in s.vertices) for s in interface_a.simplices}
+    if mapped != set(interface_b.simplices):
+        raise MapError("iso is not a simplicial isomorphism of the interfaces")
+    return iso
+
+
 def glue(
     A: RelativeCircuitData,
     B: RelativeCircuitData,
@@ -524,14 +544,7 @@ def glue(
         raise StructureError("left interface must be a subcomplex of the left boundary")
     if not interface_b.is_subcomplex_of(B.K):
         raise StructureError("right interface must be a subcomplex of the right boundary")
-    iso = dict(iso)
-    if sorted(iso.keys()) != list(interface_a.vertices):
-        raise MapError("iso must be defined exactly on the left interface vertices")
-    if sorted(iso.values()) != list(interface_b.vertices):
-        raise MapError("iso must hit exactly the right interface vertices")
-    mapped = {Simplex.of(iso[v] for v in s.vertices) for s in interface_a.simplices}
-    if mapped != set(interface_b.simplices):
-        raise MapError("iso is not a simplicial isomorphism of the interfaces")
+    iso = _checked_interface_iso(iso, interface_a, interface_b, "left", "right")
 
     left_map = {v: v for v in A.L.vertices}
     inverse = {w: v for v, w in iso.items()}
@@ -605,14 +618,7 @@ def self_glue(
         raise StructureError("interfaces must be subcomplexes of the boundary")
     if interface_a.simplices & interface_b.simplices:
         raise StructureError("interfaces must be disjoint")
-    iso = dict(iso)
-    if sorted(iso.keys()) != list(interface_a.vertices):
-        raise MapError("iso must be defined exactly on the first interface vertices")
-    if sorted(iso.values()) != list(interface_b.vertices):
-        raise MapError("iso must hit exactly the second interface vertices")
-    mapped = {Simplex.of(iso[v] for v in s.vertices) for s in interface_a.simplices}
-    if mapped != set(interface_b.simplices):
-        raise MapError("iso is not a simplicial isomorphism of the interfaces")
+    iso = _checked_interface_iso(iso, interface_a, interface_b, "first", "second")
 
     fold = {w: v for v, w in iso.items()}
     q = {v: fold.get(v, v) for v in A.L.vertices}

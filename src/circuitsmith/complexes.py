@@ -106,9 +106,6 @@ class Simplex:
     def union(self, other: "Simplex") -> "Simplex":
         return Simplex.of(set(self.vertices) | set(other.vertices))
 
-    def intersects(self, other: "Simplex") -> bool:
-        return bool(set(self.vertices) & set(other.vertices))
-
     def __repr__(self) -> str:
         return f"Simplex{self.vertices}"
 
@@ -193,14 +190,6 @@ class SimplicialComplex:
         if missing:
             raise NotFoundError(f"{len(missing)} simplices not in complex, e.g. {sorted(missing)[0]}")
         return SimplicialComplex.from_simplices(ms)
-
-    def cofaces(self, s: Simplex) -> list[Simplex]:
-        sv = set(s.vertices)
-        return [t for t in self.sorted_simplices if sv <= set(t.vertices)]
-
-    def top_cofaces(self, s: Simplex, d: int) -> list[Simplex]:
-        sv = set(s.vertices)
-        return [t for t in self.sorted_simplices if t.dim == d and sv <= set(t.vertices)]
 
     def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
         return SimplicialComplex(self.simplices | other.simplices)
@@ -313,12 +302,6 @@ class SimplicialMap:
     def apply(self, s: Simplex) -> Simplex:
         """Image simplex (dimension drops when the map degenerates on s)."""
         return Simplex.of({self.mapping[v] for v in s.vertices})
-
-    def is_degenerate_on(self, s: Simplex) -> bool:
-        return self.apply(s).dim < s.dim
-
-    def image_of(self, simplices: Iterable[Simplex]) -> frozenset[Simplex]:
-        return frozenset(self.apply(s) for s in simplices)
 
     def compose(self, outer: "SimplicialMap") -> "SimplicialMap":
         """outer after self; requires self.target == outer.source."""
@@ -474,14 +457,6 @@ class ProductResult:
 
     def lift(self, u: int, v: int) -> int:
         return self.pair_ids[(u, v)]
-
-    def sub_product(self, A: SimplicialComplex, B: SimplicialComplex) -> frozenset[Simplex]:
-        """Members of the product whose two projections land in A and B."""
-        return frozenset(
-            s
-            for s in self.complex.simplices
-            if self.project_left(s) in A.simplices and self.project_right(s) in B.simplices
-        )
 
 
 def product_complex(

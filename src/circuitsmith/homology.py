@@ -86,14 +86,6 @@ def chain_boundary(z: IntChain) -> IntChain:
     return IntChain(z.degree - 1, out)
 
 
-def incidence_sign(top: Simplex, facet: Simplex) -> int:
-    """Coefficient of facet in the boundary of top."""
-    for i, f in enumerate(top.facets()):
-        if f == facet:
-            return (-1) ** i
-    raise StructureError(f"{facet} is not a facet of {top}")
-
-
 def boundary_operator(K: SimplicialComplex, k: int) -> Matrix:
     """Matrix of the degree-k boundary over the canonical simplex order."""
     rows = K.simplices_of_dim(k - 1)
@@ -114,9 +106,6 @@ class Coordinates:
     free: tuple[int, ...]
     torsion: tuple[int, ...]
     torsion_orders: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.free) and all(c == 0 for c in self.torsion)
 
 
 @dataclass

@@ -5,7 +5,7 @@ dual subcomplex of the barycentric subdivision; the dimension of that dual
 complex bounds the CW dimension of the complement.  Smoothings of the
 manifold complements exist and are unique up to concordance whenever the
 relevant groups of sphere diffeomorphisms vanish, which the bounds reduce
-to table lookups in低 dimensions.
+to table lookups in low dimensions.
 """
 
 from __future__ import annotations
@@ -117,6 +117,12 @@ def cw_dimension_bound(
     Existence obstructions live one dimension below the cohomology degree
     and uniqueness obstructions at the degree, so a bound of b consults the
     groups in dimensions 0..b; vanishing is derived from the table.
+
+    For 0 <= r <= dim the witness is the dual complex above the r-skeleton,
+    whose dimension is dim - r - 1 (a flag from an (r+1)-face up to a top
+    simplex is a longest member chain); it is used in that closed form here
+    and checked against ``dual_complex`` by the test suite and the
+    ``dual-complex`` subcommand.
     """
     table = table or GammaGroupTable.standard()
     if case not in _CASE_BOUNDS:
@@ -133,7 +139,7 @@ def cw_dimension_bound(
         host = data.N
         r = data.k - 3
     if host.simplices and 0 <= r <= host.dim:
-        witness_dim = dual_complex(host, r).dim
+        witness_dim = host.dim - r - 1
     else:
         # Low-dimensional circuits: the complex itself is the witness.
         witness_dim = host.dim

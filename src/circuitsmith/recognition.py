@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Hashable, Iterable
 
 from .complexes import OpenSimplexSet, Simplex, SimplicialComplex, link, star
 from .errors import ContractError, NotFoundError
@@ -29,22 +30,25 @@ class RegionVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-def _components(C: SimplicialComplex) -> int:
-    parent = {v: v for v in C.vertices}
+def _components(items: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]) -> int:
+    """Number of classes of the equivalence on items generated by pairs."""
+    parent = {x: x for x in items}
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    def find(x: Hashable) -> Hashable:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    for s in C.simplices:
-        vs = s.vertices
-        for a, b in zip(vs, vs[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(v) for v in C.vertices})
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(x) for x in parent})
+
+
+def _connected_pieces(C: SimplicialComplex) -> int:
+    return _components(C.vertices, (e.vertices for e in C.simplices_of_dim(1)))
 
 
 def _is_circle(C: SimplicialComplex) -> bool:
@@ -54,7 +58,7 @@ def _is_circle(C: SimplicialComplex) -> bool:
     for e in C.simplices_of_dim(1):
         for v in e.vertices:
             degree[v] += 1
-    return all(d == 2 for d in degree.values()) and _components(C) == 1
+    return all(d == 2 for d in degree.values()) and _connected_pieces(C) == 1
 
 
 def _is_arc(C: SimplicialComplex) -> bool:
@@ -68,36 +72,7 @@ def _is_arc(C: SimplicialComplex) -> bool:
     if any(d > 2 for d in degree.values()):
         return False
     leaves = sum(1 for d in degree.values() if d == 1)
-    return leaves == 2 and len(edges) == len(C.vertices) - 1 and _components(C) == 1
-
-
-def _closed_surface_orientable(C: SimplicialComplex) -> bool:
-    """Co-orientation propagation over triangles of a closed surface."""
-    triangles = list(C.simplices_of_dim(2))
-    edge_cofaces: dict[Simplex, list[tuple[Simplex, int]]] = {}
-    for t in triangles:
-        for i, f in enumerate(t.facets()):
-            edge_cofaces.setdefault(f, []).append((t, (-1) ** i))
-    sign: dict[Simplex, int] = {}
-    for root in triangles:
-        if root in sign:
-            continue
-        sign[root] = 1
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            for i, f in enumerate(t.facets()):
-                inc_t = (-1) ** i
-                for u, inc_u in edge_cofaces[f]:
-                    if u == t:
-                        continue
-                    needed = -sign[t] * inc_t * inc_u
-                    if u not in sign:
-                        sign[u] = needed
-                        stack.append(u)
-                    elif sign[u] != needed:
-                        return False
-    return True
+    return leaves == 2 and len(edges) == len(C.vertices) - 1 and _connected_pieces(C) == 1
 
 
 @dataclass(frozen=True)
@@ -106,16 +81,16 @@ class SurfaceReport:
     connected: bool
     euler: int
     boundary_cycles: int
-    orientable: bool | None
 
     @property
     def is_sphere(self) -> bool:
+        # A closed connected surface with Euler characteristic 2 is S^2 by the
+        # classification of surfaces, so it is orientable without a check.
         return (
             self.is_surface
             and self.connected
             and self.boundary_cycles == 0
             and self.euler == 2
-            and bool(self.orientable)
         )
 
     @property
@@ -131,7 +106,7 @@ class SurfaceReport:
 def surface_report(C: SimplicialComplex) -> SurfaceReport:
     """Classify a 2-complex as a surface (with boundary) and compute its type
     invariants.  Exact: dimension-two classification is complete."""
-    bad = SurfaceReport(False, False, C.euler_characteristic, 0, None)
+    bad = SurfaceReport(False, False, C.euler_characteristic, 0)
     if not C.simplices or C.dim != 2:
         return bad
     triangles = C.simplices_of_dim(2)
@@ -155,10 +130,9 @@ def surface_report(C: SimplicialComplex) -> SurfaceReport:
     cycles = 0
     if boundary_edges:
         boundary = SimplicialComplex.from_simplices(boundary_edges)
-        cycles = _components(boundary)
-    connected = _components(C) == 1
-    orientable = _closed_surface_orientable(C) if not boundary_edges else None
-    return SurfaceReport(True, connected, C.euler_characteristic, cycles, orientable)
+        cycles = _connected_pieces(boundary)
+    connected = _connected_pieces(C) == 1
+    return SurfaceReport(True, connected, C.euler_characteristic, cycles)
 
 
 def _screen_high_dim_link(lk: SimplicialComplex, ell: int) -> PointClass:
@@ -173,7 +147,7 @@ def _screen_high_dim_link(lk: SimplicialComplex, ell: int) -> PointClass:
             facet_count[f] = facet_count.get(f, 0) + 1
     if any(n > 2 for n in facet_count.values()):
         return PointClass.NON_MANIFOLD
-    if _components(lk) != 1:
+    if _connected_pieces(lk) != 1:
         return PointClass.NON_MANIFOLD
     has_boundary = any(n == 1 for n in facet_count.values())
     chi = lk.euler_characteristic
@@ -227,9 +201,6 @@ class ManifoldReport:
     non_manifold_subcomplex: SimplicialComplex
     exact: bool
 
-    def point_class(self, s: Simplex) -> PointClass:
-        return self.classification[s]
-
 
 def non_manifold_set(K: SimplicialComplex) -> ManifoldReport:
     """Per-simplex classification and the (face-closed) non-manifold locus."""
@@ -268,20 +239,7 @@ def pseudomanifold_check(K: SimplicialComplex, k: int) -> PseudomanifoldReport:
         sorted((f for f, ts in facet_count.items() if len(ts) > 2), key=lambda s: s.sort_key)
     )
     # Strong connectivity: top simplices linked through shared facets.
-    parent = {t: t for t in tops}
-
-    def find(t: Simplex) -> Simplex:
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for ts in facet_count.values():
-        for a, b in zip(ts, ts[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    components = len({find(t) for t in tops}) if tops else 0
+    components = _components(tops, (p for ts in facet_count.values() for p in zip(ts, ts[1:])))
     return PseudomanifoldReport(
         k=k,
         pure=not purity_witnesses,

@@ -325,7 +325,10 @@ class TestGlue:
         )
         assert complex_isomorphism(lf.data.L, rf.data.L) is not None
 
-    def test_torus_from_self_glued_cylinder(self, triangle_boundary):
+    @staticmethod
+    def torus_fixture(triangle_boundary):
+        """An annulus with its two end circles and the iso folding one onto
+        the other."""
         path3 = build_complex([[0, 1], [1, 2], [2, 3]])
         pr = product_complex(triangle_boundary, path3)
         level = lambda s: pr.project_right(s)
@@ -336,12 +339,35 @@ class TestGlue:
             frozenset(s for s in pr.complex.simplices if level(s) == Simplex((3,)))
         )
         annulus = RelativeCircuitData(pr.complex, end0.union(end3), 2, SimplicialComplex.empty())
-        assert verify_circuit(annulus).valid
         iso = {pr.lift(v, 0): pr.lift(v, 3) for v in triangle_boundary.vertices}
+        return annulus, end0, end3, iso
+
+    def test_torus_from_self_glued_cylinder(self, triangle_boundary):
+        annulus, end0, end3, iso = self.torus_fixture(triangle_boundary)
+        assert verify_circuit(annulus).valid
         result = self_glue(annulus, end0, end3, iso)
         assert result.verdict.valid
         assert result.data.is_closed_circuit
         assert result.data.L.euler_characteristic == 0
+
+    def test_self_glue_rejects_non_simplicial_iso(self, triangle_boundary):
+        from circuitsmith.errors import MapError
+
+        annulus, end0, end3, iso = self.torus_fixture(triangle_boundary)
+        # same vertices, one edge fewer: the iso sends an edge to a non-edge
+        arc = SimplicialComplex.from_simplices(end3.simplices_of_dim(1)[:2])
+        assert arc.vertices == end3.vertices
+        with pytest.raises(MapError, match="not a simplicial isomorphism"):
+            self_glue(annulus, end0, arc, iso)
+
+    def test_self_glue_rejects_iso_off_the_first_interface(self, triangle_boundary):
+        from circuitsmith.errors import MapError
+
+        annulus, end0, end3, iso = self.torus_fixture(triangle_boundary)
+        partial = dict(iso)
+        del partial[min(partial)]
+        with pytest.raises(MapError, match="exactly on the first interface vertices"):
+            self_glue(annulus, end0, end3, partial)
 
 
 class TestCylinder:

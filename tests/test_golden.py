@@ -58,7 +58,8 @@ def disk() -> dict:
 
 
 def subdivided_disk() -> dict:
-    triangle, boundary = _disk().L, _disk().K
+    disk = _disk()
+    triangle, boundary = disk.L, disk.K
     sd = barycentric_subdivision(triangle)
     K = SimplicialComplex(
         frozenset(

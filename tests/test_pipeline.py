@@ -6,6 +6,7 @@ import pytest
 
 from circuitsmith import (
     BordismData,
+    GammaGroupTable,
     RelativeCircuitData,
     Simplex,
     SimplicialComplex,
@@ -110,6 +111,17 @@ class TestPsi:
             psi(data, SimplicialMap.identity(projective_plane), target)
         assert err.value.stage == "orientation"
         assert err.value.witnesses
+
+    def test_refusing_gamma_table_aborts_at_obstruction(self, disk_pair):
+        class RefusingTable(GammaGroupTable):
+            def is_trivial(self, n: int) -> bool:
+                return n == 0
+
+        table = RefusingTable(GammaGroupTable.standard().entries)
+        target = TargetPair(disk_pair.L, disk_pair.K)
+        with pytest.raises(PipelineError) as err:
+            psi(disk_pair, SimplicialMap.identity(disk_pair.L), target, gamma_table=table)
+        assert err.value.stage == "obstruction"
 
     def test_map_of_pairs_enforced(self, disk_pair):
         target = TargetPair(disk_pair.L, build_complex([[0]]))
