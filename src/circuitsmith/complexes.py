@@ -57,7 +57,7 @@ class Simplex:
         if len(vs) == 0:
             raise MalformedInputError("a simplex needs at least one vertex")
         for v in vs:
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise MalformedInputError(f"vertex ids must be non-negative integers, got {v!r}")
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise MalformedInputError(f"vertices must be strictly increasing, got {vs}")
@@ -157,15 +157,14 @@ class SimplicialComplex:
 
     @cached_property
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        # Face-closure makes the one-vertex-extension probe exact.
-        return tuple(s for s in self.sorted_simplices if not self._has_proper_coface(s))
-
-    def _has_proper_coface(self, s: Simplex) -> bool:
-        sv = set(s.vertices)
-        for v in self.vertices:
-            if v not in sv and Simplex.of(sv | {v}) in self.simplices:
-                return True
-        return False
+        # In a face-closed complex, a simplex with a proper coface is a facet
+        # of some simplex, so one pass over all facets finds every such one.
+        covered = {
+            vs[:i] + vs[i + 1 :]
+            for vs in (s.vertices for s in self.simplices)
+            for i in range(len(vs))
+        }
+        return tuple(s for s in self.sorted_simplices if s.vertices not in covered)
 
     @cached_property
     def euler_characteristic(self) -> int:

@@ -20,7 +20,7 @@ from .errors import (
     OrientationError,
     StructureError,
 )
-from .snf import Matrix, mat_vec, smith_normal_form, zeros
+from .snf import Matrix, mat_vec, smith_diagonal, smith_normal_form, zeros
 
 
 @dataclass
@@ -110,12 +110,13 @@ class Coordinates:
 
 @dataclass
 class _DegreeData:
+    """The eliminations behind coordinates and generators in one degree."""
+
     degree: int
     basis: tuple[Simplex, ...]
     rank_boundary_in: int          # rank of the incoming boundary (degree+1)
     rank_boundary_out: int         # rank of the outgoing boundary (degree)
     diagonal: tuple[int, ...]      # invariant factors of the incoming boundary
-    betti: int
     torsion: tuple[int, ...]
     q: Matrix                      # column transform of the outgoing boundary
     qinv: Matrix
@@ -124,7 +125,12 @@ class _DegreeData:
 
 
 class HomologyResult:
-    """Integer homology of a pair with torsion, generators and coordinates."""
+    """Integer homology of a pair with torsion, generators and coordinates.
+
+    Betti numbers and torsion come from the invariant factors of each
+    relative boundary matrix alone.  The transforms that coordinates and
+    generators need are built per degree on first use.
+    """
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex | None = None):
         A = A or SimplicialComplex.empty()
@@ -138,77 +144,96 @@ class HomologyResult:
             self._bases[d] = tuple(
                 s for s in K.simplices_of_dim(d) if s not in A.simplices
             )
-        for d in range(0, K.dim + 1):
-            self._degrees[d] = self._compute_degree(d)
+        # Each basis simplex's relative boundary as (row, sign) pairs, by degree.
+        self._columns: dict[int, list[list[tuple[int, int]]]] = {}
+        for k in range(1, K.dim + 1):
+            index = {s: i for i, s in enumerate(self._bases[k - 1])}
+            self._columns[k] = [
+                [(index[f], (-1) ** i) for i, f in enumerate(s.facets()) if f in index]
+                for s in self._bases[k]
+            ]
+        # ranks[k] and factors[k] describe the boundary from degree k to k-1.
+        ranks = [0] * (K.dim + 2)
+        factors: list[list[int]] = [[] for _ in range(K.dim + 2)]
+        for k in range(1, K.dim + 1):
+            factors[k], ranks[k] = smith_diagonal(self._boundary_matrix(k), len(self._bases[k]))
+        self._betti = {
+            k: len(self._bases[k]) - ranks[k] - ranks[k + 1] for k in range(0, K.dim + 1)
+        }
+        self._torsion = {
+            k: tuple(d for d in factors[k + 1] if d > 1) for k in range(0, K.dim + 1)
+        }
 
-    def _relative_boundary(self, k: int) -> Matrix:
-        rows = self._bases.get(k - 1, ())
-        cols = self._bases.get(k, ())
-        index = {s: i for i, s in enumerate(rows)}
-        mat = zeros(len(rows), len(cols))
-        for j, s in enumerate(cols):
-            for i, f in enumerate(s.facets()):
-                r = index.get(f)
-                if r is not None:
-                    mat[r][j] = (-1) ** i
+    def _boundary_matrix(self, k: int) -> Matrix:
+        """The dense relative boundary matrix from degree k to k-1."""
+        mat = zeros(len(self._bases.get(k - 1, ())), len(self._bases.get(k, ())))
+        for j, column in enumerate(self._columns.get(k, ())):
+            for r, sign in column:
+                mat[r][j] = sign
         return mat
+
+    def _degree(self, k: int) -> _DegreeData | None:
+        if k not in self._bases:
+            return None
+        data = self._degrees.get(k)
+        if data is None:
+            data = self._degrees[k] = self._compute_degree(k)
+        return data
 
     def _compute_degree(self, k: int) -> _DegreeData:
         basis = self._bases[k]
-        n = len(basis)
-        d_out = self._relative_boundary(k)
-        snf_out = smith_normal_form(d_out, cols=n)
-        r_out = snf_out.rank
-        kernel_dim = n - r_out
-
-        d_in = self._relative_boundary(k + 1)
-        n_in = len(self._bases.get(k + 1, ()))
-        # Kernel coordinates of the incoming boundary image; the first r_out
-        # rows vanish because boundaries are cycles.
-        u = [mat_vec(snf_out.Qinv, [d_in[i][j] for i in range(n)]) for j in range(n_in)]
-        for col in u:
-            for i in range(r_out):
-                if col[i] != 0:
-                    raise InternalInvariantError("boundary of a boundary is nonzero")
-        m = [[u[j][i] for j in range(n_in)] for i in range(r_out, n)]
-        snf_in = smith_normal_form(m, cols=n_in)
-        s = snf_in.rank
+        snf_out = smith_normal_form(self._boundary_matrix(k), cols=len(basis))
+        r_out, q, qinv = snf_out.rank, snf_out.Q, snf_out.Qinv
+        del snf_out  # its row transforms are unused; free them before the next elimination
+        m = self._kernel_coordinates(k, qinv, r_out)
+        snf_in = smith_normal_form(m, cols=len(self._bases.get(k + 1, ())))
         diagonal = tuple(d for d in snf_in.diagonal if d)
-        torsion = tuple(d for d in diagonal if d > 1)
-        betti = kernel_dim - s
         return _DegreeData(
             degree=k,
             basis=basis,
-            rank_boundary_in=s,
+            rank_boundary_in=snf_in.rank,
             rank_boundary_out=r_out,
             diagonal=diagonal,
-            betti=betti,
-            torsion=torsion,
-            q=snf_out.Q,
-            qinv=snf_out.Qinv,
+            torsion=tuple(d for d in diagonal if d > 1),
+            q=q,
+            qinv=qinv,
             p2=snf_in.P,
             p2inv=snf_in.Pinv,
         )
 
+    def _kernel_coordinates(self, k: int, qinv: Matrix, r_out: int) -> Matrix:
+        """Rows r_out.. of Qinv times the incoming boundary, built from one
+        sparse boundary column at a time; the rows above r_out vanish
+        because boundaries are cycles."""
+        n = len(qinv)
+        qinv_columns = list(zip(*qinv))
+        u = []
+        for column in self._columns.get(k + 1, ()):
+            col = [0] * n
+            for r, sign in column:
+                col = [x + y if sign > 0 else x - y for x, y in zip(col, qinv_columns[r])]
+            if any(col[:r_out]):
+                raise InternalInvariantError("boundary of a boundary is nonzero")
+            u.append(col[r_out:])
+        return [list(row) for row in zip(*u)] if u else [[] for _ in range(r_out, n)]
+
     def betti(self, k: int) -> int:
-        d = self._degrees.get(k)
-        return d.betti if d else 0
+        return self._betti.get(k, 0)
 
     def torsion(self, k: int) -> tuple[int, ...]:
-        d = self._degrees.get(k)
-        return d.torsion if d else ()
+        return self._torsion.get(k, ())
 
     def betti_numbers(self) -> tuple[int, ...]:
         return tuple(self.betti(k) for k in range(0, max(self.K.dim, 0) + 1))
 
     def _chain_vector(self, z: IntChain) -> list[int]:
-        data = self._degrees.get(z.degree)
-        if data is None:
+        basis = self._bases.get(z.degree)
+        if basis is None:
             if z:
                 raise StructureError(f"no chains in degree {z.degree}")
             return []
-        index = {s: i for i, s in enumerate(data.basis)}
-        vec = [0] * len(data.basis)
+        index = {s: i for i, s in enumerate(basis)}
+        vec = [0] * len(basis)
         for s, c in z.coefficients.items():
             i = index.get(s)
             if i is None:
@@ -221,7 +246,7 @@ class HomologyResult:
     def coordinates(self, z: IntChain) -> Coordinates:
         """Homology coordinates of a relative cycle."""
         k = z.degree
-        data = self._degrees.get(k)
+        data = self._degree(k)
         if data is None:
             return Coordinates(k, (), (), ())
         vec = self._chain_vector(z)
@@ -241,7 +266,7 @@ class HomologyResult:
         return Coordinates(k, free, tuple(torsion_coords), torsion_orders)
 
     def _kernel_chain(self, k: int, kappa_index: int) -> IntChain:
-        data = self._degrees[k]
+        data = self._degree(k)
         r = data.rank_boundary_out
         n = len(data.basis)
         column = [data.p2inv[i][kappa_index] for i in range(n - r)]
@@ -253,7 +278,7 @@ class HomologyResult:
         return IntChain(k, coeffs)
 
     def free_generators(self, k: int) -> list[IntChain]:
-        data = self._degrees.get(k)
+        data = self._degree(k)
         if data is None:
             return []
         s = data.rank_boundary_in
@@ -261,7 +286,7 @@ class HomologyResult:
         return [self._kernel_chain(k, j) for j in range(s, kernel_dim)]
 
     def torsion_generators(self, k: int) -> list[IntChain]:
-        data = self._degrees.get(k)
+        data = self._degree(k)
         if data is None:
             return []
         return [

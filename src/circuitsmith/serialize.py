@@ -48,17 +48,26 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     return {"maximal": simplices_to_json(K.maximal_simplices)}
 
 
+def _vertex_lists(payload: Any, what: str) -> list[list[int]]:
+    """``payload`` checked to be a list of lists of integer vertex ids."""
+    if not isinstance(payload, list) or not all(
+        isinstance(vs, list) and all(isinstance(v, int) for v in vs) for vs in payload
+    ):
+        raise MalformedInputError(f"{what} must be a list of lists of integer vertex ids")
+    return payload
+
+
 def complex_from_json(payload: Mapping) -> SimplicialComplex:
-    if "maximal" not in payload:
+    if not isinstance(payload, Mapping) or "maximal" not in payload:
         raise MalformedInputError("complex JSON needs a 'maximal' list")
     from .complexes import build_complex
 
-    return build_complex(payload["maximal"])
+    return build_complex(_vertex_lists(payload["maximal"], "'maximal'"))
 
 
 def subcomplex_from_json(payload, host: SimplicialComplex) -> SimplicialComplex:
     """A subcomplex given by a simplex list (closed up inside the host)."""
-    simplices = [Simplex.of(vs) for vs in payload]
+    simplices = [Simplex.of(vs) for vs in _vertex_lists(payload, "a subcomplex")]
     for s in simplices:
         if s not in host.simplices:
             raise MalformedInputError(f"{s} is not a simplex of the host complex")

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Smith normal form with tracked transforms.
+"""Exact integer linear algebra: Smith normal form, with or without the
+transforms that carry a matrix to it.
 
 Entries are Python ints, so no overflow; the pivot rule picks a smallest
 nonzero entry to limit coefficient growth during elimination.
@@ -61,64 +62,99 @@ class SNFResult:
 def smith_normal_form(matrix: Matrix, cols: int | None = None) -> SNFResult:
     m = len(matrix)
     n = cols if cols is not None else (len(matrix[0]) if matrix else 0)
-    a = [row[:] for row in matrix]
     p, pinv = identity(m), identity(m)
     q, qinv = identity(n), identity(n)
+    diagonal = _eliminate([row[:] for row in matrix], m, n, (p, pinv), (q, qinv))
+    rank = sum(1 for d in diagonal if d)
+    return SNFResult(diagonal, rank, m, n, p, pinv, q, qinv)
 
-    def row_add(dst: int, src: int, c: int) -> None:
+
+def smith_diagonal(matrix: Matrix, cols: int | None = None) -> tuple[list[int], int]:
+    """The diagonal and rank of ``smith_normal_form(matrix, cols)``, from the
+    same elimination with no transforms tracked."""
+    m = len(matrix)
+    n = cols if cols is not None else (len(matrix[0]) if matrix else 0)
+    diagonal = _eliminate([row[:] for row in matrix], m, n, None, None)
+    return diagonal, sum(1 for d in diagonal if d)
+
+
+def _eliminate(
+    a: Matrix,
+    m: int,
+    n: int,
+    rows: tuple[Matrix, Matrix] | None,
+    cols: tuple[Matrix, Matrix] | None,
+) -> list[int]:
+    """Reduce the m x n matrix ``a`` in place to Smith form and return its
+    diagonal.  ``rows`` is (P, Pinv) and ``cols`` is (Q, Qinv), each updated
+    with every row or column operation when given; the operations on ``a``
+    do not depend on which transforms are tracked."""
+    p, pinv = rows if rows is not None else (None, None)
+    q, qinv = cols if cols is not None else (None, None)
+
+    def row_add(dst: int, src: int, c: int, support: list[int] | None = None) -> None:
+        # ``support`` lists the nonzero columns of row src, when known.
         if c == 0:
             return
-        arow, srow = a[dst], a[src]
-        for j in range(n):
-            arow[j] += c * srow[j]
-        prow, psrow = p[dst], p[src]
-        for j in range(m):
-            prow[j] += c * psrow[j]
-        for i in range(m):
-            pinv[i][src] -= c * pinv[i][dst]
+        if support is None:
+            a[dst] = [x + c * y if y else x for x, y in zip(a[dst], a[src])]
+        else:
+            arow, srow = a[dst], a[src]
+            for j in support:
+                arow[j] += c * srow[j]
+        if p is not None:
+            p[dst] = [x + c * y if y else x for x, y in zip(p[dst], p[src])]
+            for r in pinv:
+                if r[dst]:
+                    r[src] -= c * r[dst]
 
-    def col_add(dst: int, src: int, c: int) -> None:
+    def col_add(dst: int, src: int, c: int, support: list[int]) -> None:
+        # ``support`` lists the nonzero rows of column src.
         if c == 0:
             return
-        for i in range(m):
+        for i in support:
             a[i][dst] += c * a[i][src]
-        for i in range(n):
-            q[i][dst] += c * q[i][src]
-        qrow, qdrow = qinv[src], qinv[dst]
-        for j in range(n):
-            qrow[j] -= c * qdrow[j]
+        if q is not None:
+            for row in q:
+                if row[src]:
+                    row[dst] += c * row[src]
+            qinv[src] = [x - c * y if y else x for x, y in zip(qinv[src], qinv[dst])]
 
     def row_swap(i: int, j: int) -> None:
         if i == j:
             return
         a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-        for r in pinv:
-            r[i], r[j] = r[j], r[i]
+        if p is not None:
+            p[i], p[j] = p[j], p[i]
+            for r in pinv:
+                r[i], r[j] = r[j], r[i]
 
     def col_swap(i: int, j: int) -> None:
         if i == j:
             return
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
-        qinv[i], qinv[j] = qinv[j], qinv[i]
+        if q is not None:
+            for r in q:
+                r[i], r[j] = r[j], r[i]
+            qinv[i], qinv[j] = qinv[j], qinv[i]
 
     def row_negate(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        p[i] = [-x for x in p[i]]
-        for r in pinv:
-            r[i] = -r[i]
+        if p is not None:
+            p[i] = [-x for x in p[i]]
+            for r in pinv:
+                r[i] = -r[i]
 
     def eliminate_at(t: int) -> None:
         # Clear the pivot column, then the pivot row; any nonzero remainder
         # has smaller absolute value than the pivot and is swapped in, so the
         # pivot strictly shrinks and the loop terminates.
         while True:
+            support = [j for j, x in enumerate(a[t]) if x]
             for i in range(t + 1, m):
                 if a[i][t]:
-                    row_add(i, t, -(a[i][t] // a[t][t]))
+                    row_add(i, t, -(a[i][t] // a[t][t]), support)
             moved = False
             for i in range(t + 1, m):
                 if a[i][t]:
@@ -127,9 +163,10 @@ def smith_normal_form(matrix: Matrix, cols: int | None = None) -> SNFResult:
                     break
             if moved:
                 continue
+            support = [i for i, row in enumerate(a) if row[t]]
             for j in range(t + 1, n):
                 if a[t][j]:
-                    col_add(j, t, -(a[t][j] // a[t][t]))
+                    col_add(j, t, -(a[t][j] // a[t][t]), support)
             moved = False
             for j in range(t + 1, n):
                 if a[t][j]:
@@ -142,18 +179,24 @@ def smith_normal_form(matrix: Matrix, cols: int | None = None) -> SNFResult:
     t = 0
     limit = min(m, n)
     while t < limit:
+        # The pivot is the first entry of smallest absolute value in row-major
+        # order.  Rows from t on are zero left of column t, so whole rows
+        # can be searched, and a unit, the usual case, is found by list scans.
         pivot = None
-        best = None
         for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
+            row = a[i]
+            if 1 in row or -1 in row:
+                pivot = (i, min(row.index(u) for u in (1, -1) if u in row))
                 break
+        else:
+            best = None
+            for i in range(t, m):
+                if not any(a[i]):
+                    continue
+                for j, x in enumerate(a[i]):
+                    if x and (best is None or abs(x) < best):
+                        best = abs(x)
+                        pivot = (i, j)
         if pivot is None:
             break
         row_swap(t, pivot[0])
@@ -163,7 +206,10 @@ def smith_normal_form(matrix: Matrix, cols: int | None = None) -> SNFResult:
             eliminate_at(t)
             # Force the divisibility chain: a non-divisible leftover is pulled
             # into the pivot row, and re-elimination strictly shrinks |pivot|.
+            # A unit pivot divides everything, so it needs no sweep.
             d = a[t][t]
+            if d in (1, -1):
+                break
             fixed = False
             for i in range(t + 1, m):
                 if fixed:
@@ -179,6 +225,4 @@ def smith_normal_form(matrix: Matrix, cols: int | None = None) -> SNFResult:
             row_negate(t)
         t += 1
 
-    diagonal = [a[i][i] for i in range(limit)]
-    rank = sum(1 for d in diagonal if d)
-    return SNFResult(diagonal, rank, m, n, p, pinv, q, qinv)
+    return [a[i][i] for i in range(limit)]

@@ -122,6 +122,39 @@ class TestHomologyCommand:
         assert payload["torsion"] == {"1": [2]}
 
 
+class TestHomologyLoader:
+    """Malformed complexes exit 1 with a JSON error, never a traceback."""
+
+    @staticmethod
+    def assert_json_error(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error" in json.loads(captured.out)
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"maximal": 5},
+            {"maximal": [5]},
+            {"maximal": [[0, 1], 2]},
+            {"maximal": [[[0], 1]]},
+            {"maximal": [[True, 2]]},
+            {"maximal": [["0", 1]]},
+            [[0, 1]],
+        ],
+        ids=["int", "list-of-int", "mixed", "nested", "bool", "string", "bare-list"],
+    )
+    def test_malformed_complex(self, capsys, tmp_path, payload):
+        self.assert_json_error(capsys, ["homology", write(tmp_path, "bad.json", payload)])
+
+    @pytest.mark.parametrize("rel", [5, [5], [[0, True]]], ids=["int", "list-of-int", "bool"])
+    def test_malformed_relative_subcomplex(self, capsys, tmp_path, rel):
+        cx = write(tmp_path, "d2.json", {"maximal": [[0, 1, 2]]})
+        self.assert_json_error(capsys, ["homology", cx, "--rel", write(tmp_path, "rel.json", rel)])
+
+
 class TestFundamentalAndEvaluate:
     def test_fundamental_class(self, capsys, sphere_file):
         code, payload = run(capsys, ["fundamental-class", sphere_file])

@@ -56,6 +56,29 @@ class TestBuildComplex:
         K = build_complex([[2, 0, 1]])
         assert Simplex((0, 1, 2)) in K
 
+    def test_bool_vertex_rejected(self):
+        with pytest.raises(MalformedInputError):
+            Simplex((True, 2))
+        with pytest.raises(MalformedInputError):
+            build_complex([[False, 1]])
+
+
+class TestMaximalSimplices:
+    def test_matches_definition_on_random_complexes(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            K = random_complex(rng, n_vertices=n, max_dim=rng.randint(0, min(4, n - 1)))
+            expected = tuple(
+                s
+                for s in K.sorted_simplices
+                if not any(s != t and s.is_face_of(t) for t in K.simplices)
+            )
+            assert K.maximal_simplices == expected
+
+    def test_empty_complex_has_none(self):
+        assert SimplicialComplex.empty().maximal_simplices == ()
+
 
 class TestSkeleton:
     def test_vertices_of_tetra_boundary(self, tetra_boundary):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from circuitsmith import (
 )
 from circuitsmith.errors import ContractError, OrientationError
 from circuitsmith.homology import connecting_coordinates
-from circuitsmith.snf import mat_mul, smith_normal_form
+from circuitsmith.snf import mat_mul, smith_diagonal, smith_normal_form
 
 from .conftest import simplex_boundary_complex
 from .generators import random_complex, random_subcomplex
@@ -102,6 +103,86 @@ class TestSmithTransforms:
             mine = [d for d in smith_normal_form(mat, cols=n).diagonal if d]
             theirs = [int(abs(x)) for x in invariant_factors(sympy.Matrix(mat)) if x != 0]
             assert mine == theirs
+
+
+def _seeded_matrices():
+    """The seeded matrices the Smith-transform tests above draw."""
+    rng = random.Random(5)
+    for _ in range(15):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        yield [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], n
+    rng = random.Random(9)
+    for _ in range(15):
+        yield [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)], 5
+    rng = random.Random(13)
+    for _ in range(10):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        yield [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)], n
+
+
+class TestSmithDiagonal:
+    def test_matches_tracked_form_on_seeded_matrices(self):
+        for mat, n in _seeded_matrices():
+            res = smith_normal_form(mat, cols=n)
+            assert smith_diagonal(mat, cols=n) == (res.diagonal, res.rank)
+
+    def test_matches_tracked_form_on_boundary_matrices(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            K = random_complex(rng, n_vertices=8, max_dim=3)
+            for k in range(1, K.dim + 1):
+                d = boundary_operator(K, k)
+                n = len(K.simplices_of_dim(k))
+                res = smith_normal_form(d, cols=n)
+                assert smith_diagonal(d, cols=n) == (res.diagonal, res.rank)
+
+    def test_empty_shapes(self):
+        assert smith_diagonal([], cols=3) == ([], 0)
+        assert smith_diagonal([[], []], cols=0) == ([], 0)
+
+    def test_input_is_not_modified(self):
+        mat = [[2, 4], [6, 9]]
+        smith_diagonal(mat)
+        assert mat == [[2, 4], [6, 9]]
+
+
+class TestTrackedEliminationOnDemand:
+    @pytest.fixture
+    def tracked_calls(self, monkeypatch):
+        # the package's ``homology`` attribute is the function, not the module
+        homology_module = importlib.import_module("circuitsmith.homology")
+        calls = []
+
+        def counting(matrix, cols=None):
+            calls.append(cols)
+            return smith_normal_form(matrix, cols)
+
+        monkeypatch.setattr(homology_module, "smith_normal_form", counting)
+        return calls
+
+    def test_betti_and_torsion_track_nothing(self, tracked_calls, projective_plane):
+        H = homology(projective_plane)
+        assert H.betti_numbers() == (1, 0, 0)
+        assert H.torsion(1) == (2,)
+        assert all(H.torsion(k) == () for k in (0, 2))
+        assert tracked_calls == []
+
+    def test_coordinates_build_only_their_degree(self, tracked_calls, tetra_boundary):
+        H = homology(tetra_boundary)
+        H.betti_numbers()
+        z = IntChain(1, {})
+        H.coordinates(z)
+        # the outgoing boundary of degree 1 (6 edges), then the kernel
+        # coordinates of the incoming boundary (4 triangles)
+        assert tracked_calls == [6, 4]
+        H.coordinates(z)
+        H.free_generators(1)
+        H.torsion_generators(1)
+        assert tracked_calls == [6, 4]
+        H.free_generators(2)
+        assert tracked_calls == [6, 4, 4, 0]
 
 
 class TestHomology:
