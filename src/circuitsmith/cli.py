@@ -8,6 +8,7 @@ report carries witnesses), 2 when recognition returned Unknown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -207,7 +208,10 @@ def cmd_verify_cert(args) -> int:
     return EXIT_VALID if payload.get("valid", True) else EXIT_INVALID
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call: it holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="circuitsmith",
         description="verify circuits, compute homology and limit sets, emit pseudocycle certificates",

@@ -4,6 +4,10 @@ Vertices are non-negative integers, simplices are strictly increasing vertex
 tuples, and complexes are face-closed finite sets of simplices.  All values
 are immutable after construction and every operation is a pure function, so
 results may be computed concurrently and are deterministic.
+
+Each complex indexes itself on first use: for each vertex, the simplices
+that contain it.  Links, stars and subdivision chains walk the cofaces of a
+simplex through that index instead of scanning the whole complex.
 """
 
 from __future__ import annotations
@@ -169,6 +173,31 @@ class SimplicialComplex:
     @cached_property
     def euler_characteristic(self) -> int:
         return sum((-1) ** s.dim for s in self.simplices)
+
+    @cached_property
+    def _vertex_stars(self) -> dict[int, list[Simplex]]:
+        """The index: for each vertex, the simplices that contain it."""
+        stars: dict[int, list[Simplex]] = {}
+        for s in self.simplices:
+            for v in s.vertices:
+                stars.setdefault(v, []).append(s)
+        return stars
+
+    def _cofaces(self, s: Simplex) -> list[Simplex]:
+        """The simplices of self that contain s, s included, read off the
+        star of its first vertex (for a vertex, the index's own list)."""
+        first, *rest = s.vertices
+        star = self._vertex_stars.get(first, [])
+        if not rest:
+            return star
+        n = len(s.vertices)
+        return [t for t in star if len(t.vertices) >= n and all(v in t.vertices for v in rest)]
+
+    @cached_property
+    def _point_classes(self) -> dict:
+        """Point classes of simplices of self, keyed by (simplex, k); filled
+        by ``recognition`` and freed with the complex."""
+        return {}
 
     def __contains__(self, s: Simplex) -> bool:
         return s in self.simplices
@@ -341,26 +370,28 @@ def star(S: OpenSimplexSet, K: SimplicialComplex) -> OpenSimplexSet:
     """All simplices of K having some face in S (an open set in |K|)."""
     if S.host is not K and S.host.simplices != K.simplices:
         raise NotFoundError("star: S must be hosted in K")
-    members = set()
-    for t in K.simplices:
-        if t in S.members or any(f in S.members for f in t.faces(include_self=False)):
-            members.add(t)
+    members: set[Simplex] = set()
+    for s in S.members:
+        # A member already reached is a coface of an earlier one, and so are
+        # all of its own cofaces.
+        if s not in members:
+            members.update(K._cofaces(s))
     return OpenSimplexSet(K, frozenset(members))
 
 
 def link(s: Simplex, K: SimplicialComplex) -> SimplicialComplex:
-    """Simplices of K disjoint from s whose union with s is again in K."""
+    """Simplices of K disjoint from s whose union with s is again in K.
+
+    These are the proper cofaces of s with the vertices of s removed."""
     if s not in K.simplices:
         raise NotFoundError(f"link: {s} is not a simplex of the complex")
-    sv = set(s.vertices)
-    out = set()
-    for t in K.simplices:
-        tv = set(t.vertices)
-        if tv & sv:
-            continue
-        if Simplex.of(tv | sv) in K.simplices:
-            out.add(t)
-    return SimplicialComplex(frozenset(out))
+    sv = s.vertices
+    n = len(sv)
+    return SimplicialComplex(frozenset(
+        Simplex(tuple(v for v in t.vertices if v not in sv))
+        for t in K._cofaces(s)
+        if len(t.vertices) > n
+    ))
 
 
 @dataclass(frozen=True)
@@ -388,9 +419,8 @@ def barycentric_subdivision(K: SimplicialComplex) -> SubdivisionResult:
     def extend(chain: list[Simplex]) -> None:
         chains.add(Simplex.of({vertex_for[t] for t in chain}))
         top = chain[-1]
-        tv = set(top.vertices)
-        for t in K.simplices:
-            if t.dim > top.dim and tv < set(t.vertices):
+        for t in K._cofaces(top):
+            if t.dim > top.dim:
                 chain.append(t)
                 extend(chain)
                 chain.pop()

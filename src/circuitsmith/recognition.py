@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable
 
-from .complexes import OpenSimplexSet, Simplex, SimplicialComplex, link, star
+from .complexes import OpenSimplexSet, Simplex, SimplicialComplex, link
 from .errors import ContractError, NotFoundError
 
 
@@ -195,6 +195,15 @@ def classify_point(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
     return _screen_high_dim_link(lk, ell)
 
 
+def _classified(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
+    """``classify_point``, memoised on the complex per (simplex, k)."""
+    memo = K._point_classes
+    c = memo.get((s, k))
+    if c is None:
+        c = memo[s, k] = classify_point(s, K, k)
+    return c
+
+
 @dataclass(frozen=True)
 class ManifoldReport:
     classification: dict[Simplex, PointClass]
@@ -205,7 +214,7 @@ class ManifoldReport:
 def non_manifold_set(K: SimplicialComplex) -> ManifoldReport:
     """Per-simplex classification and the (face-closed) non-manifold locus."""
     k = K.dim
-    classification = {s: classify_point(s, K, k) for s in K.sorted_simplices}
+    classification = {s: _classified(s, K, k) for s in K.sorted_simplices}
     bad = [s for s, c in classification.items() if c is PointClass.NON_MANIFOLD]
     sub = SimplicialComplex.from_simplices(bad)
     exact = all(c is not PointClass.UNKNOWN for c in classification.values())
@@ -267,16 +276,17 @@ class RegionReport:
 def region_is_pl_manifold(U: OpenSimplexSet, k: int) -> RegionReport:
     """Decide whether the union of open simplices U is a PL k-manifold.
 
-    U must be open in its host (complement face-closed); classification is
-    then local and each open simplex is classified inside the closed star of
-    U.  Boundary simplices are reported so callers can match boundaries.
+    U must be open in its host (complement face-closed).  Then every coface
+    of a member is a member, so the link of a member in the closure of U is
+    its link in the host, and each open simplex is classified in the host
+    directly (memoised there, so repeated checks on one host are free).
+    Boundary simplices are reported so callers can match boundaries.
     """
     if not U.members:
         return RegionReport(RegionVerdict.YES, None, {}, frozenset(), frozenset())
     if not U.is_open:
         raise ContractError("region check requires an open set (complement must be face-closed)")
-    local = star(U, U.host).closure()
-    classification = {s: classify_point(s, local, k) for s in U.sorted_members}
+    classification = {s: _classified(s, U.host, k) for s in U.sorted_members}
     witness = None
     for s in U.sorted_members:
         if classification[s] is PointClass.NON_MANIFOLD:

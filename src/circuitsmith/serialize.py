@@ -57,6 +57,19 @@ def _vertex_lists(payload: Any, what: str) -> list[list[int]]:
     return payload
 
 
+def _object(payload: Any, what: str) -> Mapping:
+    """``payload`` checked to be a JSON object."""
+    if not isinstance(payload, Mapping):
+        raise MalformedInputError(f"{what} JSON must be an object, got {type(payload).__name__}")
+    return payload
+
+
+def _field(payload: Mapping, key: str, what: str) -> Any:
+    if key not in payload:
+        raise MalformedInputError(f"{what} JSON needs a {key!r} field")
+    return payload[key]
+
+
 def complex_from_json(payload: Mapping) -> SimplicialComplex:
     if not isinstance(payload, Mapping) or "maximal" not in payload:
         raise MalformedInputError("complex JSON needs a 'maximal' list")
@@ -83,10 +96,13 @@ def vertex_map_to_json(m: SimplicialMap) -> dict:
 def vertex_map_from_json(
     payload: Mapping, source: SimplicialComplex, target: SimplicialComplex
 ) -> SimplicialMap:
-    raw = payload.get("vertex_map")
-    if raw is None:
+    raw = _object(payload, "map").get("vertex_map")
+    if not isinstance(raw, Mapping):
         raise MalformedInputError("map JSON needs a 'vertex_map' object")
-    mapping = {int(k): int(v) for k, v in raw.items()}
+    try:
+        mapping = {int(k): int(v) for k, v in raw.items()}
+    except (TypeError, ValueError):
+        raise MalformedInputError("'vertex_map' must map vertex ids to integer vertex ids")
     return SimplicialMap.from_dict(source, target, mapping)
 
 
@@ -100,6 +116,7 @@ def circuit_to_json(data: RelativeCircuitData) -> dict:
 
 
 def circuit_from_json(payload: Mapping, k: int | None = None) -> RelativeCircuitData:
+    _object(payload, "circuit")
     L = complex_from_json(payload.get("complex", payload))
     K = subcomplex_from_json(payload.get("boundary", []), L)
     S = subcomplex_from_json(payload.get("singular", []), L)
@@ -121,6 +138,7 @@ def bordism_to_json(data: BordismData) -> dict:
 
 
 def bordism_from_json(payload: Mapping) -> BordismData:
+    _object(payload, "bordism")
     N = complex_from_json(payload.get("complex", payload))
     M = subcomplex_from_json(payload.get("boundary", []), N)
     L = subcomplex_from_json(payload.get("circuit", []), N)
@@ -135,6 +153,7 @@ def bordism_from_json(payload: Mapping) -> BordismData:
 def punctured_from_json(payload: Mapping):
     from .limits import PuncturedComplex
 
+    _object(payload, "punctured complex")
     W = complex_from_json(payload.get("complex", payload))
     S = subcomplex_from_json(payload.get("punctures", []), W)
     return PuncturedComplex(W, S)
@@ -150,8 +169,9 @@ def punctured_to_json(p) -> dict:
 def compactified_map_from_json(payload: Mapping):
     from .limits import CompactifiedMap
 
-    domain = punctured_from_json(payload["domain"])
-    target = punctured_from_json(payload["target"])
+    _object(payload, "compactified map")
+    domain = punctured_from_json(_field(payload, "domain", "compactified map"))
+    target = punctured_from_json(_field(payload, "target", "compactified map"))
     g = vertex_map_from_json(payload, domain.W, target.W)
     return CompactifiedMap(domain, target, g)
 
@@ -196,6 +216,7 @@ def orientation_to_json(o: OrientationAssignment) -> dict:
 
 
 def orientation_from_json(payload: Mapping) -> OrientationAssignment:
+    _object(payload, "orientation")
     signs = {Simplex.of(vs): int(c) for vs, c in payload.get("signs", [])}
     return OrientationAssignment(
         signs,
@@ -269,6 +290,7 @@ def target_to_json(t: TargetPair) -> dict:
 
 
 def target_from_json(payload: Mapping) -> TargetPair:
+    _object(payload, "target")
     X = complex_from_json(payload.get("complex", payload))
     A = subcomplex_from_json(payload.get("subcomplex", []), X)
     return TargetPair(X, A)
@@ -324,19 +346,23 @@ def reverify_certificate(payload: Mapping) -> tuple[bool, list[str]]:
     the pipeline; report every field that fails to reproduce."""
     from .pipeline import psi, verify_bordism_certificate
 
-    kind = payload.get("kind")
+    kind = _object(payload, "certificate").get("kind")
     mismatches: list[str] = []
+
+    def field(key: str) -> Any:
+        return _field(payload, key, "certificate")
+
     if kind == PSEUDOCYCLE_KIND:
-        circuit = circuit_from_json(payload["circuit"])
-        target = target_from_json(payload["target"])
-        a = vertex_map_from_json({"vertex_map": payload["vertex_map"]}, circuit.L, target.X)
-        orientation = orientation_from_json(payload["orientation"])
+        circuit = circuit_from_json(field("circuit"))
+        target = target_from_json(field("target"))
+        a = vertex_map_from_json({"vertex_map": field("vertex_map")}, circuit.L, target.X)
+        orientation = orientation_from_json(field("orientation"))
         cert = psi(circuit, a, target, orientation=orientation)
         fresh = pseudocycle_certificate_to_json(cert)
     elif kind == BORDISM_KIND:
-        bordism = bordism_from_json(payload["bordism"])
-        target = target_from_json(payload["target"])
-        d = vertex_map_from_json({"vertex_map": payload["vertex_map"]}, bordism.N, target.X)
+        bordism = bordism_from_json(field("bordism"))
+        target = target_from_json(field("target"))
+        d = vertex_map_from_json({"vertex_map": field("vertex_map")}, bordism.N, target.X)
         cert = verify_bordism_certificate(bordism, d, target)
         fresh = bordism_certificate_to_json(cert)
     else:

@@ -113,3 +113,21 @@ def oracle_homology(
         if tors:
             torsion[k] = sorted(tors)
     return betti, torsion
+
+
+def oracle_link(s: Simplex, K: SimplicialComplex) -> frozenset[Simplex]:
+    """The link by its definition: simplices of K disjoint from s whose
+    vertex union with s is again a simplex of K, found by scanning K."""
+    sv = set(s.vertices)
+    return frozenset(
+        t
+        for t in K.simplices
+        if not sv & set(t.vertices) and Simplex.of(sv | set(t.vertices)) in K.simplices
+    )
+
+
+def oracle_star(members, K: SimplicialComplex) -> frozenset[Simplex]:
+    """The open star by its definition: simplices of K having a face among
+    the members, found by scanning K."""
+    faces = [set(f.vertices) for f in members]
+    return frozenset(t for t in K.simplices if any(f <= set(t.vertices) for f in faces))

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
-from circuitsmith.cli import main
+from circuitsmith import serialize
+from circuitsmith.cli import build_parser, main
 
 
 def write(tmp_path, name, payload):
@@ -153,6 +156,140 @@ class TestHomologyLoader:
     def test_malformed_relative_subcomplex(self, capsys, tmp_path, rel):
         cx = write(tmp_path, "d2.json", {"maximal": [[0, 1, 2]]})
         self.assert_json_error(capsys, ["homology", cx, "--rel", write(tmp_path, "rel.json", rel)])
+
+
+class TestObjectLoaders:
+    """A JSON file that should hold an object but holds anything else exits 1
+    with a JSON error, never a traceback."""
+
+    DISK = {"complex": {"maximal": [[0, 1, 2]]}, "boundary": [[0, 1], [1, 2], [0, 2]], "k": 2}
+    TARGET = {"complex": {"maximal": [[0, 1, 2]]}, "subcomplex": [[0, 1], [1, 2], [0, 2]]}
+    IDENT = {"vertex_map": {"0": 0, "1": 1, "2": 2}}
+    BORDISM = {
+        "complex": {"maximal": [[0, 1, 2, 3]]},
+        "boundary": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+        "circuit": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+        "k": 2,
+    }
+    PUNCTURED = {"complex": {"maximal": [[0, 1]]}, "punctures": [[0]]}
+    CMAP = {"domain": PUNCTURED, "target": PUNCTURED, "vertex_map": {"0": 0, "1": 1}}
+    # (argv with file names, the file that gets the bad payload)
+    CASES = {
+        "check-circuit": (["check-circuit", "circuit"], "circuit"),
+        "sigma-b": (["sigma", "--case", "b", "circuit"], "circuit"),
+        "sigma-c": (["sigma", "--case", "c", "bordism"], "bordism"),
+        "fundamental-class": (["fundamental-class", "circuit"], "circuit"),
+        "psi-circuit": (["psi", "circuit", "map", "target"], "circuit"),
+        "psi-map": (["psi", "circuit", "map", "target"], "map"),
+        "psi-target": (["psi", "circuit", "map", "target"], "target"),
+        "evaluate-map": (["evaluate", "circuit", "map", "target"], "map"),
+        "check-bordism": (["check-bordism", "bordism", "bmap", "btarget"], "bordism"),
+        "limit-set": (["limit-set", "cmap"], "cmap"),
+        "glue": (["glue", "circuit", "circuit2", "--iso", "iso"], "circuit2"),
+        "verify-cert": (["verify-cert", "cert"], "cert"),
+    }
+
+    def files(self, tmp_path, bad, payload):
+        good = {
+            "circuit": self.DISK,
+            "circuit2": self.DISK,
+            "target": self.TARGET,
+            "map": self.IDENT,
+            "bordism": self.BORDISM,
+            "btarget": {"complex": {"maximal": [[0, 1, 2, 3]]}},
+            "bmap": {"vertex_map": {str(v): v for v in range(4)}},
+            "cmap": self.CMAP,
+            "iso": {"interface_a": [], "interface_b": [], "vertex_map": {}},
+            "cert": {"kind": "pseudocycle-certificate"},
+        }
+        good[bad] = payload
+        return {name: write(tmp_path, f"{name}.json", p) for name, p in good.items()}
+
+    @pytest.mark.parametrize("payload", [5, [[0, 1, 2]], "text", None],
+                             ids=["int", "list", "string", "null"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_object_payload(self, capsys, tmp_path, case, payload):
+        argv, bad = self.CASES[case]
+        paths = self.files(tmp_path, bad, payload)
+        TestHomologyLoader.assert_json_error(capsys, [paths.get(a, a) for a in argv])
+
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("map", {"vertex_map": 5}),
+            ("map", {"vertex_map": {"0": "zero", "1": 1, "2": 2}}),
+            ("cmap", {"target": PUNCTURED, "vertex_map": {"0": 0, "1": 1}}),
+            ("cmap", {"domain": 5, "target": PUNCTURED, "vertex_map": {"0": 0, "1": 1}}),
+            ("cert", {"kind": "pseudocycle-certificate", "circuit": DISK}),
+        ],
+        ids=["vertex-map-int", "vertex-map-string-value", "no-domain", "domain-int", "cert-fields"],
+    )
+    def test_malformed_fields(self, capsys, tmp_path, name, payload):
+        argv = {"map": ["psi", "circuit", "map", "target"], "cmap": ["limit-set", "cmap"],
+                "cert": ["verify-cert", "cert"]}[name]
+        paths = self.files(tmp_path, name, payload)
+        TestHomologyLoader.assert_json_error(capsys, [paths.get(a, a) for a in argv])
+
+    def test_orientation_not_an_object(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "cert", None)
+        out = str(tmp_path / "cert.json")
+        assert main(["psi", paths["circuit"], paths["map"], paths["target"], "--out", out]) == 0
+        capsys.readouterr()
+        cert = json.loads((tmp_path / "cert.json").read_text())
+        cert["orientation"] = 5
+        write(tmp_path, "cert.json", cert)
+        TestHomologyLoader.assert_json_error(capsys, ["verify-cert", out])
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over(self):
+        parser = build_parser()
+        first = parser.parse_args(["psi", "c", "m", "t", "--out", "cert.json"])
+        assert first.out == "cert.json"
+        assert parser.parse_args(["psi", "c", "m", "t"]).out is None
+        assert parser.parse_args(["check-circuit", "c", "--k", "3"]).k == 3
+        later = parser.parse_args(["check-circuit", "c"])
+        assert later.k is None and not hasattr(later, "out")
+
+    def test_successive_main_calls(self, capsys, tmp_path, disk_circuit_file, sphere_file):
+        target = write(tmp_path, "target.json", TestObjectLoaders.TARGET)
+        ident = write(tmp_path, "ident.json", TestObjectLoaders.IDENT)
+        out = tmp_path / "cert.json"
+        code, _ = run(capsys, ["psi", disk_circuit_file, ident, target, "--out", str(out)])
+        assert code == 0 and out.exists()
+        out.unlink()
+        code, _ = run(capsys, ["psi", disk_circuit_file, ident, target])
+        assert code == 0 and not out.exists()
+        code, payload = run(capsys, ["check-circuit", sphere_file, "--k", "3"])
+        assert code == 1 and "error" in payload
+        code, payload = run(capsys, ["check-circuit", sphere_file])
+        assert code == 0 and payload["valid"]
+        code, payload = run(capsys, ["sigma", "--case", "a", sphere_file])
+        assert code == 0 and payload["case"] == "a"
+
+    def test_no_complex_survives_psi(self, capsys, tmp_path, monkeypatch):
+        refs = []
+        plain = serialize.circuit_from_json
+
+        def spy(payload, k=None):
+            data = plain(payload, k=k)
+            refs.append(weakref.ref(data.L))
+            return data
+
+        monkeypatch.setattr(serialize, "circuit_from_json", spy)
+        # Vertex ids no other test uses, so that no equal complex is about.
+        disk = {"maximal": [[70, 71, 72]]}
+        edges = [[70, 71], [71, 72], [70, 72]]
+        circuit = write(tmp_path, "disk.json", {"complex": disk, "boundary": edges, "k": 2})
+        target = write(tmp_path, "target.json", {"complex": disk, "subcomplex": edges})
+        ident = write(tmp_path, "ident.json", {"vertex_map": {str(v): v for v in (70, 71, 72)}})
+        code, _ = run(capsys, ["psi", circuit, ident, target])
+        assert code == 0
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
 
 
 class TestFundamentalAndEvaluate:

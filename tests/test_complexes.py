@@ -25,6 +25,7 @@ from circuitsmith.errors import MalformedInputError, NotFoundError
 
 from .conftest import simplex_boundary_complex
 from .generators import random_complex
+from .oracles import oracle_link, oracle_star
 
 
 def euler(K):
@@ -121,6 +122,23 @@ class TestStar:
             S = OpenSimplexSet.of(wedge_spheres, closed.simplices)
             assert star(S, wedge_spheres).complement().is_closed
 
+    def test_indexed_star_matches_definition_random(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            K = random_complex(rng, n_vertices=n, max_dim=rng.randint(0, min(4, n - 1)))
+            for s in K.sorted_simplices:
+                assert star(OpenSimplexSet.of(K, [s]), K).members == oracle_star([s], K), s
+            for _ in range(5):
+                members = [s for s in K.sorted_simplices if rng.random() < 0.2]
+                got = star(OpenSimplexSet.of(K, members), K).members
+                assert got == oracle_star(members, K)
+
+    def test_star_in_an_equal_host(self, triangle):
+        twin = build_complex([[0, 1, 2]])
+        S = OpenSimplexSet.of(twin, [Simplex((0, 1))])
+        assert star(S, triangle).members == {Simplex((0, 1)), Simplex((0, 1, 2))}
+
 
 class TestLink:
     def test_link_of_vertex_in_tetra_boundary(self, tetra_boundary):
@@ -146,7 +164,17 @@ class TestLink:
         for _ in range(15):
             K = random_complex(rng)
             for s in K.sorted_simplices:
-                link(s, K)  # SimplicialComplex construction asserts closure
+                lk = link(s, K)
+                assert all(f in lk.simplices for t in lk.simplices for f in t.facets())
+                assert all(t.vertices == tuple(sorted(set(t.vertices))) for t in lk.simplices)
+
+    def test_indexed_link_matches_definition_random(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            K = random_complex(rng, n_vertices=n, max_dim=rng.randint(0, min(4, n - 1)))
+            for s in K.sorted_simplices:
+                assert link(s, K).simplices == oracle_link(s, K), s
 
 
 class TestBarycentricSubdivision:

@@ -23,6 +23,7 @@ from circuitsmith import (
     subdivision_bordism,
     verify_bordism_certificate,
 )
+from circuitsmith import recognition
 from circuitsmith.errors import PipelineError
 from circuitsmith.homology import connecting_coordinates
 from circuitsmith.serialize import (
@@ -221,6 +222,46 @@ class TestBordismCertificates:
             )
         assert err.value.stage == "verify-nullbordism"
         assert Simplex((0,)) in err.value.witnesses
+
+
+class TestClassificationOnce:
+    """A pipeline run classifies each simplex of each host once per k."""
+
+    @pytest.fixture
+    def classify_calls(self, monkeypatch):
+        calls = []
+        hosts = []  # held, so that no id is reused during the run
+        plain = recognition.classify_point
+
+        def counted(s, K, k):
+            hosts.append(K)
+            calls.append((id(K), s, k))
+            return plain(s, K, k)
+
+        monkeypatch.setattr(recognition, "classify_point", counted)
+        return calls
+
+    def test_psi(self, classify_calls, disk_pair):
+        data, sd = subdivided_disk_pair()
+        target = TargetPair(disk_pair.L, disk_pair.K)
+        a = SimplicialMap.from_dict(data.L, disk_pair.L, last_vertex_map(sd, disk_pair.L))
+        assert psi(data, a, target).valid
+        # verify_circuit classifies all of L (the input singular set is
+        # empty); the complement of sigma in L is then read from the memo.
+        on_L = [c for c in classify_calls if c[0] == id(data.L)]
+        assert len(on_L) == len(data.L)
+        assert len(set(classify_calls)) == len(classify_calls)
+
+    def test_check_bordism(self, classify_calls, circle_circuit):
+        cyl = cylinder(circle_circuit)
+        proj_vm = {pid: uv[0] for pid, uv in cyl.product.vertex_pairs.items()}
+        proj = SimplicialMap.from_dict(cyl.bordism.N, circle_circuit.L, proj_vm)
+        classify_calls.clear()
+        cert = verify_bordism_certificate(
+            cyl.bordism, proj, TargetPair.absolute(circle_circuit.L)
+        )
+        assert cert.valid
+        assert len(set(classify_calls)) == len(classify_calls)
 
 
 class TestBordismInvariance:

@@ -14,11 +14,13 @@ from circuitsmith import (
     non_manifold_set,
     pseudomanifold_check,
     region_is_pl_manifold,
+    star,
 )
+from circuitsmith import recognition
 from circuitsmith.errors import ContractError, NotFoundError
 
 from .conftest import simplex_boundary_complex
-from .generators import random_complex
+from .generators import random_complex, random_subcomplex
 
 
 class TestClassifyPoint:
@@ -158,6 +160,57 @@ class TestRegion:
         assert report.verdict is RegionVerdict.YES
         assert Simplex((0, 1)) in report.boundary
         assert Simplex((0, 1, 2)) not in report.boundary
+
+
+class TestHostClassification:
+    def test_host_equals_star_closure_classification(self):
+        # Each member of an open U is classified in U.host directly; that must
+        # agree with classifying it in the closed star of U, for every k.
+        rng = random.Random(47)
+        for _ in range(30):
+            K = random_complex(rng, n_vertices=8, n_generators=6, max_dim=3)
+            for _ in range(3):
+                U = OpenSimplexSet.of(K, K.simplices - random_subcomplex(rng, K).simplices)
+                local = star(U, K).closure()
+                for k in range(K.dim + 2):
+                    expected = {s: classify_point(s, local, k) for s in U.members}
+                    assert region_is_pl_manifold(U, k).classification == expected
+
+
+class TestClassificationMemo:
+    def test_two_values_of_k_do_not_collide(self, tetra_boundary):
+        U = OpenSimplexSet.whole(tetra_boundary)
+        as_surface = region_is_pl_manifold(U, 2).classification
+        as_solid = region_is_pl_manifold(U, 3).classification
+        assert set(as_surface.values()) == {PointClass.INTERIOR_MANIFOLD}
+        assert set(as_solid.values()) == {PointClass.NON_MANIFOLD}
+        assert region_is_pl_manifold(U, 2).classification == as_surface
+        assert region_is_pl_manifold(U, 3).classification == as_solid
+
+    def test_each_simplex_classified_once_per_host_and_k(self, monkeypatch, wedge_spheres):
+        calls = []
+        plain = recognition.classify_point
+
+        def counted(s, K, k):
+            calls.append((s, k))
+            return plain(s, K, k)
+
+        monkeypatch.setattr(recognition, "classify_point", counted)
+        U = OpenSimplexSet.of(wedge_spheres, wedge_spheres.simplices - {Simplex((3,))})
+        first = region_is_pl_manifold(U, 2)
+        assert len(calls) == len(U)
+        assert region_is_pl_manifold(U, 2) == first
+        assert non_manifold_set(wedge_spheres).classification[Simplex((3,))] is (
+            PointClass.NON_MANIFOLD
+        )
+        assert len(calls) == len(wedge_spheres)
+        assert len(set(calls)) == len(calls)
+
+    def test_memo_is_per_host_object(self, tetra_boundary):
+        twin = simplex_boundary_complex(3)
+        region_is_pl_manifold(OpenSimplexSet.whole(tetra_boundary), 2)
+        assert tetra_boundary._point_classes
+        assert "_point_classes" not in vars(twin)
 
 
 class TestReportSerialization:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -17,3 +18,32 @@ def test_package_has_sources():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_source_is_ascii(path):
     path.read_bytes().decode("ascii")
+
+
+# A process-wide cache would keep every complex it saw alive for the life of
+# the process; per-complex state lives on the complex and dies with it.
+PROCESS_CACHES = {"cache", "lru_cache"}
+ALLOWED_CACHES = {("cli.py", "build_parser")}
+
+
+def _process_cache_uses(path):
+    """(module, where) for every use of a functools process-wide cache."""
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if (path.name, node.name) in ALLOWED_CACHES:
+                allowed.update(id(d) for d in node.decorator_list)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            uses += [(path.name, f"import {a.name}") for a in node.names if a.name in PROCESS_CACHES]
+        elif isinstance(node, ast.Attribute) and node.attr in PROCESS_CACHES:
+            if id(node) not in allowed:
+                uses.append((path.name, f"line {node.lineno}"))
+    return uses
+
+
+def test_no_process_wide_caches():
+    uses = [u for p in FILES if p.suffix == ".py" for u in _process_cache_uses(p)]
+    assert uses == []
