@@ -24,6 +24,7 @@ from .complexes import (
     product_complex,
     relabel,
     skeleton,
+    star,
     subdivision_prism,
 )
 from .errors import ContractError, InternalInvariantError, MapError, StructureError
@@ -360,11 +361,7 @@ def singular_set(case: str, data: RelativeCircuitData | BordismData) -> Singular
             raise StructureError("case c expects bordism data")
         k = data.k
         boundary_skel = {s for s in data.K.simplices if s.dim == k - 2}
-        starred = {
-            s
-            for s in data.N.simplices
-            if s in boundary_skel or any(f in boundary_skel for f in s.faces(include_self=False))
-        }
+        starred = star(OpenSimplexSet.of(data.N, boundary_skel), data.N).members
         members = {
             s
             for s in data.N.simplices

@@ -52,9 +52,9 @@ def cmd_check_circuit(args) -> int:
     if args.s:
         S = serialize.subcomplex_from_json(_load(args.s), data.L)
         data = type(data)(data.L, data.K, data.k, S)
-    verdict = verify_circuit(data)
-    _emit(serialize.verdict_to_json(verdict))
-    return _verdict_exit(serialize.verdict_to_json(verdict))
+    payload = serialize.verdict_to_json(verify_circuit(data))
+    _emit(payload)
+    return _verdict_exit(payload)
 
 
 def cmd_sigma(args) -> int:
@@ -71,10 +71,10 @@ def cmd_sigma(args) -> int:
 def cmd_glue(args) -> int:
     A = serialize.circuit_from_json(_load(args.left))
     B = serialize.circuit_from_json(_load(args.right))
-    iso_payload = _load(args.iso)
+    iso_payload = serialize._object(_load(args.iso), "iso")
     interface_a = serialize.subcomplex_from_json(iso_payload.get("interface_a", []), A.K)
     interface_b = serialize.subcomplex_from_json(iso_payload.get("interface_b", []), B.K)
-    iso = {int(k): int(v) for k, v in iso_payload.get("vertex_map", {}).items()}
+    iso = serialize._int_map(iso_payload.get("vertex_map", {}), "iso JSON 'vertex_map'")
     result = glue(A, B, interface_a, interface_b, iso, reverse_orientation=args.reverse)
     payload = {
         "circuit": serialize.circuit_to_json(result.data),
@@ -103,8 +103,9 @@ def cmd_fundamental_class(args) -> int:
     data = serialize.circuit_from_json(_load(args.circuit))
     verdict = verify_circuit(data)
     if not verdict.valid:
-        _emit(serialize.verdict_to_json(verdict))
-        return _verdict_exit(serialize.verdict_to_json(verdict))
+        payload = serialize.verdict_to_json(verdict)
+        _emit(payload)
+        return _verdict_exit(payload)
     o = orient_circuit(data)
     if not o.orientable:
         _emit({"valid": False, "orientable": False,

@@ -121,14 +121,10 @@ class SimplicialComplex:
     simplices: frozenset[Simplex]
 
     @classmethod
-    def from_simplices(cls, simplices: Iterable[Simplex], closed: bool = False) -> "SimplicialComplex":
-        """Build from a simplex collection, taking the face closure unless
-        the caller asserts the input is already closed."""
-        base = frozenset(simplices)
-        if closed:
-            return cls(base)
+    def from_simplices(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
+        """Build from a simplex collection, taking its face closure."""
         closure: set[Simplex] = set()
-        for s in base:
+        for s in simplices:
             closure.add(s)
             closure.update(s.faces(include_self=False))
         _check_cap(len(closure))

@@ -3,8 +3,8 @@
 ``psi`` turns a verified singular relative circuit into a certified
 pseudocycle: the singular set is constructed, its complement certified as a
 manifold, the circuit oriented, its fundamental class evaluated in homology,
-limit carriers computed from the compactified restriction of the map, the
-dimension bounds checked, and the smoothing obstructions reported.  Every
+limit carriers taken as the images of the singular set, the dimension
+bounds checked, and the smoothing obstructions reported.  Every
 stage emits witnesses and a failed stage aborts the run; no later stage
 executes after a failure.
 """
@@ -34,7 +34,6 @@ from .homology import (
     fundamental_class,
     orient_circuit,
 )
-from .limits import CompactifiedMap, PuncturedComplex, limit_set
 from .obstructions import GammaGroupTable, ObstructionReport, cw_dimension_bound
 
 
@@ -98,18 +97,13 @@ def _fail(stage: str, message: str, witnesses=(), unknown: bool = False) -> Pipe
     return PipelineError(stage, message, witnesses, unknown)
 
 
-def _carrier_of_image(
-    a: SimplicialMap, domain: SimplicialComplex, punctures: SimplicialComplex
-) -> OpenSimplexSet:
-    """Limit carrier of the map restricted to the complement of ``punctures``,
-    computed through the compactified presentation."""
-    dom = PuncturedComplex(domain, punctures)
-    target = PuncturedComplex.compact(a.target)
-    restricted = SimplicialMap.from_dict(
-        domain, a.target, {v: a.apply_vertex(v) for v in domain.vertices}
-    )
-    cmap = CompactifiedMap(dom, target, restricted)
-    return limit_set(cmap).carrier
+def _carrier(a: SimplicialMap, punctures: SimplicialComplex) -> OpenSimplexSet:
+    """Limit carrier of ``a`` on the complement of ``punctures``.
+
+    The target is compact, so this is the limit set of the compactified map
+    with no target punctures: the images of the puncture simplices.
+    """
+    return OpenSimplexSet(a.target, frozenset(a.apply(s) for s in punctures.simplices))
 
 
 def psi(
@@ -170,16 +164,8 @@ def psi(
     except MapError as exc:
         raise _fail("evaluate", str(exc))
 
-    limit_carrier = _carrier_of_image(a, circuit.L, sigma.complex)
-    expected = frozenset(a.apply(s) for s in sigma.complex.simplices)
-    if limit_carrier.members != expected:
-        raise InternalInvariantError("limit carrier differs from the image of the singular set")
-    sigma_boundary = sigma.complex.intersection(circuit.K)
-    if circuit.K.simplices:
-        boundary_map = a.restrict(circuit.K)
-        boundary_carrier = _carrier_of_image(boundary_map, circuit.K, sigma_boundary)
-    else:
-        boundary_carrier = OpenSimplexSet(a.target, frozenset())
+    limit_carrier = _carrier(a, sigma.complex)
+    boundary_carrier = _carrier(a, sigma.complex.intersection(circuit.K))
 
     bound_main = DimensionBound("main", limit_carrier.dim, max(-1, k - 2))
     bound_boundary = DimensionBound("boundary", boundary_carrier.dim, max(-1, k - 3))
@@ -283,16 +269,9 @@ def verify_bordism_certificate(
             unknown=complement.unknown,
         )
 
-    limit_carrier = _carrier_of_image(d_map, R.N, sigma.complex)
-    side = SimplicialComplex.from_simplices(R.M.simplices - R.L.simplices) if (
-        R.M.simplices - R.L.simplices
-    ) else SimplicialComplex.empty()
-    sigma_side = sigma.complex.intersection(side)
-    if side.simplices:
-        side_map = d_map.restrict(side)
-        side_carrier = _carrier_of_image(side_map, side, sigma_side)
-    else:
-        side_carrier = OpenSimplexSet(d_map.target, frozenset())
+    limit_carrier = _carrier(d_map, sigma.complex)
+    side = SimplicialComplex.from_simplices(R.M.simplices - R.L.simplices)
+    side_carrier = _carrier(d_map, sigma.complex.intersection(side))
 
     bound_main = DimensionBound("main", limit_carrier.dim, max(-1, k - 1))
     bound_side = DimensionBound("side-boundary", side_carrier.dim, max(-1, k - 2))

@@ -2,9 +2,13 @@
 
 Points are classified per open simplex through their links: a point is a
 manifold point exactly when the link is a PL sphere (interior) or PL ball
-(boundary) of the complementary dimension.  Recognition is exact for links
-of dimension at most two (surface classification); higher-dimensional links
-are screened against necessary conditions and otherwise reported Unknown.
+(boundary) of the complementary dimension.  One rule, stated on
+``classify_point``, checks every link of dimension at least one: purity,
+at most two facets on each ridge, connectivity and the Euler characteristic
+of a sphere or a ball, plus, for 2-dimensional links, the classes of the
+larger simplices whose links are the vertex links of the link.  The rule is
+exact for links of dimension at most two; a higher-dimensional link that
+passes it is reported Unknown.
 """
 
 from __future__ import annotations
@@ -47,129 +51,27 @@ def _components(items: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hasha
     return len({find(x) for x in parent})
 
 
-def _connected_pieces(C: SimplicialComplex) -> int:
-    return _components(C.vertices, (e.vertices for e in C.simplices_of_dim(1)))
-
-
-def _is_circle(C: SimplicialComplex) -> bool:
-    if not C.simplices or C.dim != 1:
-        return False
-    degree = {v: 0 for v in C.vertices}
-    for e in C.simplices_of_dim(1):
-        for v in e.vertices:
-            degree[v] += 1
-    return all(d == 2 for d in degree.values()) and _connected_pieces(C) == 1
-
-
-def _is_arc(C: SimplicialComplex) -> bool:
-    if not C.simplices or C.dim != 1:
-        return False
-    edges = C.simplices_of_dim(1)
-    degree = {v: 0 for v in C.vertices}
-    for e in edges:
-        for v in e.vertices:
-            degree[v] += 1
-    if any(d > 2 for d in degree.values()):
-        return False
-    leaves = sum(1 for d in degree.values() if d == 1)
-    return leaves == 2 and len(edges) == len(C.vertices) - 1 and _connected_pieces(C) == 1
-
-
-@dataclass(frozen=True)
-class SurfaceReport:
-    is_surface: bool
-    connected: bool
-    euler: int
-    boundary_cycles: int
-
-    @property
-    def is_sphere(self) -> bool:
-        # A closed connected surface with Euler characteristic 2 is S^2 by the
-        # classification of surfaces, so it is orientable without a check.
-        return (
-            self.is_surface
-            and self.connected
-            and self.boundary_cycles == 0
-            and self.euler == 2
-        )
-
-    @property
-    def is_disk(self) -> bool:
-        return (
-            self.is_surface
-            and self.connected
-            and self.boundary_cycles == 1
-            and self.euler == 1
-        )
-
-
-def surface_report(C: SimplicialComplex) -> SurfaceReport:
-    """Classify a 2-complex as a surface (with boundary) and compute its type
-    invariants.  Exact: dimension-two classification is complete."""
-    bad = SurfaceReport(False, False, C.euler_characteristic, 0)
-    if not C.simplices or C.dim != 2:
-        return bad
-    triangles = C.simplices_of_dim(2)
-    edge_count: dict[Simplex, int] = {}
-    for t in triangles:
-        for f in t.facets():
-            edge_count[f] = edge_count.get(f, 0) + 1
-    # Purity: every vertex and edge under a triangle.
-    for s in C.simplices:
-        if s.dim == 1 and s not in edge_count:
-            return bad
-        if s.dim == 0 and not any(s.vertices[0] in t for t in triangles):
-            return bad
-    if any(n > 2 for n in edge_count.values()):
-        return bad
-    for v in C.vertices:
-        lk = link(Simplex((v,)), C)
-        if not (_is_circle(lk) or _is_arc(lk)):
-            return bad
-    boundary_edges = [e for e, n in edge_count.items() if n == 1]
-    cycles = 0
-    if boundary_edges:
-        boundary = SimplicialComplex.from_simplices(boundary_edges)
-        cycles = _connected_pieces(boundary)
-    connected = _connected_pieces(C) == 1
-    return SurfaceReport(True, connected, C.euler_characteristic, cycles)
-
-
-def _screen_high_dim_link(lk: SimplicialComplex, ell: int) -> PointClass:
-    """Necessary-condition screening for links of dimension >= 3."""
-    tops = lk.simplices_of_dim(ell)
-    for s in lk.simplices:
-        if s.dim < ell and not any(s.is_face_of(t) for t in tops):
-            return PointClass.NON_MANIFOLD
-    facet_count: dict[Simplex, int] = {}
-    for t in tops:
-        for f in t.facets():
-            facet_count[f] = facet_count.get(f, 0) + 1
-    if any(n > 2 for n in facet_count.values()):
-        return PointClass.NON_MANIFOLD
-    if _connected_pieces(lk) != 1:
-        return PointClass.NON_MANIFOLD
-    has_boundary = any(n == 1 for n in facet_count.values())
-    chi = lk.euler_characteristic
-    if has_boundary:
-        if chi != 1:
-            return PointClass.NON_MANIFOLD
-    elif chi != 1 + (-1) ** ell:
-        return PointClass.NON_MANIFOLD
-    return PointClass.UNKNOWN
-
-
 def classify_point(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
-    """Class of the points of the open simplex s inside the k-complex |K|."""
+    """Class of the points of the open simplex s inside the k-complex |K|.
+
+    The link must have dimension l = k - dim(s) - 1.  At l = 0 it must be
+    one point (boundary) or two (interior).  For l >= 1 one rule serves
+    every dimension: the link is pure, each ridge lies in at most two facets,
+    the link is connected, and its Euler characteristic is 1 when some ridge
+    lies in a single facet (boundary) and 1 + (-1)^l otherwise (interior).
+    At l = 1 that makes the link a path or a cycle.  At l = 2 each vertex w
+    of the link must also have a circle or an arc as its link in the link,
+    which is the link of s + w in K, classified (and memoised) as a point of
+    K; the link is then a connected surface, a sphere by its Euler
+    characteristic or, with boundary and Euler characteristic 1, a disk.
+    Above l = 2 a link that passes is reported Unknown.
+    """
     if s not in K.simplices:
         raise NotFoundError(f"{s} is not a simplex of the complex")
     lk = link(s, K)
-    d = s.dim
     if not lk.simplices:
-        return PointClass.INTERIOR_MANIFOLD if d == k else PointClass.NON_MANIFOLD
-    if d >= k:
-        return PointClass.NON_MANIFOLD
-    ell = k - d - 1
+        return PointClass.INTERIOR_MANIFOLD if s.dim == k else PointClass.NON_MANIFOLD
+    ell = k - s.dim - 1
     if lk.dim != ell:
         return PointClass.NON_MANIFOLD
     if ell == 0:
@@ -179,20 +81,28 @@ def classify_point(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
         if n == 1:
             return PointClass.BOUNDARY_MANIFOLD
         return PointClass.NON_MANIFOLD
-    if ell == 1:
-        if _is_circle(lk):
-            return PointClass.INTERIOR_MANIFOLD
-        if _is_arc(lk):
-            return PointClass.BOUNDARY_MANIFOLD
+    tops = lk.maximal_simplices
+    if any(t.dim != ell for t in tops):
         return PointClass.NON_MANIFOLD
-    if ell == 2:
-        report = surface_report(lk)
-        if report.is_sphere:
-            return PointClass.INTERIOR_MANIFOLD
-        if report.is_disk:
-            return PointClass.BOUNDARY_MANIFOLD
+    ridge_count: dict[Simplex, int] = {}
+    for t in tops:
+        for f in t.facets():
+            ridge_count[f] = ridge_count.get(f, 0) + 1
+    if any(n > 2 for n in ridge_count.values()):
         return PointClass.NON_MANIFOLD
-    return _screen_high_dim_link(lk, ell)
+    if _components(lk.vertices, (e.vertices for e in lk.simplices_of_dim(1))) != 1:
+        return PointClass.NON_MANIFOLD
+    has_boundary = 1 in ridge_count.values()
+    if lk.euler_characteristic != (1 if has_boundary else 1 + (-1) ** ell):
+        return PointClass.NON_MANIFOLD
+    if ell >= 3:
+        return PointClass.UNKNOWN
+    if ell == 2 and any(
+        _classified(Simplex.of(s.vertices + (w,)), K, k) is PointClass.NON_MANIFOLD
+        for w in lk.vertices
+    ):
+        return PointClass.NON_MANIFOLD
+    return PointClass.BOUNDARY_MANIFOLD if has_boundary else PointClass.INTERIOR_MANIFOLD
 
 
 def _classified(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:

@@ -64,6 +64,25 @@ def _object(payload: Any, what: str) -> Mapping:
     return payload
 
 
+def _int(value: Any, what: str) -> int:
+    """``value`` checked to be an integer (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInputError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _int_map(raw: Any, what: str) -> dict[int, int]:
+    """``raw`` checked to be an object from vertex ids to integer vertex ids."""
+    if not isinstance(raw, Mapping):
+        raise MalformedInputError(f"{what} must be an object")
+    try:
+        keys = [int(k) for k in raw]
+    except (TypeError, ValueError):
+        raise MalformedInputError(f"{what} must be keyed by vertex ids")
+    each = f"each value of {what}"
+    return {k: _int(v, each) for k, v in zip(keys, raw.values())}
+
+
 def _field(payload: Mapping, key: str, what: str) -> Any:
     if key not in payload:
         raise MalformedInputError(f"{what} JSON needs a {key!r} field")
@@ -96,13 +115,7 @@ def vertex_map_to_json(m: SimplicialMap) -> dict:
 def vertex_map_from_json(
     payload: Mapping, source: SimplicialComplex, target: SimplicialComplex
 ) -> SimplicialMap:
-    raw = _object(payload, "map").get("vertex_map")
-    if not isinstance(raw, Mapping):
-        raise MalformedInputError("map JSON needs a 'vertex_map' object")
-    try:
-        mapping = {int(k): int(v) for k, v in raw.items()}
-    except (TypeError, ValueError):
-        raise MalformedInputError("'vertex_map' must map vertex ids to integer vertex ids")
+    mapping = _int_map(_object(payload, "map").get("vertex_map"), "map JSON 'vertex_map'")
     return SimplicialMap.from_dict(source, target, mapping)
 
 
@@ -123,7 +136,7 @@ def circuit_from_json(payload: Mapping, k: int | None = None) -> RelativeCircuit
     kk = k if k is not None else payload.get("k")
     if kk is None:
         kk = L.dim
-    return RelativeCircuitData(L, K, int(kk), S)
+    return RelativeCircuitData(L, K, _int(kk, "circuit dimension 'k'"), S)
 
 
 def bordism_to_json(data: BordismData) -> dict:
@@ -147,7 +160,7 @@ def bordism_from_json(payload: Mapping) -> BordismData:
     k = payload.get("k")
     if k is None:
         raise MalformedInputError("bordism JSON needs the circuit dimension 'k'")
-    return BordismData(N, M, L, K, int(k), S)
+    return BordismData(N, M, L, K, _int(k, "circuit dimension 'k'"), S)
 
 
 def punctured_from_json(payload: Mapping):
@@ -217,12 +230,18 @@ def orientation_to_json(o: OrientationAssignment) -> dict:
 
 def orientation_from_json(payload: Mapping) -> OrientationAssignment:
     _object(payload, "orientation")
-    signs = {Simplex.of(vs): int(c) for vs, c in payload.get("signs", [])}
-    return OrientationAssignment(
-        signs,
-        bool(payload.get("orientable", True)),
-        tuple(Simplex.of(vs) for vs in payload.get("witness_cycle", [])),
-    )
+    pairs = payload.get("signs", [])
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise MalformedInputError("'signs' must be a list of [simplex, sign] pairs")
+    _vertex_lists([vs for vs, _ in pairs], "the simplices in 'signs'")
+    signs = {Simplex.of(vs): _int(c, "a sign in 'signs'") for vs, c in pairs}
+    if not set(signs.values()) <= {1, -1}:
+        raise MalformedInputError("each sign in 'signs' must be 1 or -1")
+    cycle = _vertex_lists(payload.get("witness_cycle", []), "'witness_cycle'")
+    orientable = payload.get("orientable", True)
+    if not isinstance(orientable, bool):
+        raise MalformedInputError("'orientable' must be true or false")
+    return OrientationAssignment(signs, orientable, tuple(Simplex.of(vs) for vs in cycle))
 
 
 def coordinates_to_json(c: Coordinates) -> dict:

@@ -165,3 +165,17 @@ def random_outer_map(
     S_t = _admissible_punctures(rng, target_cx, interior_images)
     target = PuncturedComplex(target_cx, S_t)
     return CompactifiedMap(middle, target, g0)
+
+
+def stellar_sphere(rng: random.Random, n: int, moves: int) -> list[list[int]]:
+    """Facets of the boundary of the (n+1)-simplex after ``moves`` stellar
+    subdivisions, each at a random face and a new vertex: an n-sphere."""
+    verts = list(range(n + 2))
+    facets = [verts[:i] + verts[i + 1 :] for i in range(n + 2)]
+    for new in range(n + 2, n + 2 + moves):
+        sigma = rng.choice(build_complex(facets).sorted_simplices).vertices
+        starred = [t for t in facets if set(sigma) <= set(t)]
+        facets = [t for t in facets if t not in starred] + [
+            sorted({new, *t} - {u}) for t in starred for u in sigma
+        ]
+    return facets

@@ -7,7 +7,19 @@ no code with the library implementation.
 
 from __future__ import annotations
 
-from circuitsmith import Simplex, SimplicialComplex
+from collections import Counter
+
+from circuitsmith import (
+    CompactifiedMap,
+    OpenSimplexSet,
+    PointClass,
+    PseudocycleCertificate,
+    PuncturedComplex,
+    Simplex,
+    SimplicialComplex,
+    SimplicialMap,
+    limit_set,
+)
 
 
 def oracle_snf_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -131,3 +143,130 @@ def oracle_star(members, K: SimplicialComplex) -> frozenset[Simplex]:
     the members, found by scanning K."""
     faces = [set(f.vertices) for f in members]
     return frozenset(t for t in K.simplices if any(f <= set(t.vertices) for f in faces))
+
+
+def _component_count(vertices, edges) -> int:
+    """Number of connected components of a graph, by depth-first search."""
+    neighbours = {v: set() for v in vertices}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen: set = set()
+    count = 0
+    for start in neighbours:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        todo = [start]
+        while todo:
+            for w in neighbours[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
+    return count
+
+
+def _graph_class(lk: frozenset[Simplex]) -> PointClass:
+    """A 1-dimensional link: a cycle (interior) or a path (boundary)."""
+    vertices = [t.vertices[0] for t in lk if t.dim == 0]
+    edges = [t.vertices for t in lk if t.dim == 1]
+    if _component_count(vertices, edges) != 1:
+        return PointClass.NON_MANIFOLD
+    degree = Counter(v for e in edges for v in e)
+    degrees = sorted(degree[v] for v in vertices)
+    if all(d == 2 for d in degrees):
+        return PointClass.INTERIOR_MANIFOLD
+    if degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:]):
+        return PointClass.BOUNDARY_MANIFOLD
+    return PointClass.NON_MANIFOLD
+
+
+def _surface_class(lk: frozenset[Simplex]) -> PointClass:
+    """A 2-dimensional link: every vertex link a circle or an arc, connected,
+    then a sphere (Euler characteristic 2, no boundary) or a disk (Euler
+    characteristic 1, one boundary cycle)."""
+    C = SimplicialComplex(lk)
+    vertices = [t.vertices[0] for t in lk if t.dim == 0]
+    for v in vertices:
+        if _graph_class(oracle_link(Simplex((v,)), C)) is PointClass.NON_MANIFOLD:
+            return PointClass.NON_MANIFOLD
+    edges = [t.vertices for t in lk if t.dim == 1]
+    if _component_count(vertices, edges) != 1:
+        return PointClass.NON_MANIFOLD
+    triangles = [t for t in lk if t.dim == 2]
+    chi = len(vertices) - len(edges) + len(triangles)
+    on_edge = Counter(f for t in triangles for f in t.facets())
+    rim = [f.vertices for f, n in on_edge.items() if n == 1]
+    cycles = _component_count({v for e in rim for v in e}, rim)
+    if cycles == 0 and chi == 2:
+        return PointClass.INTERIOR_MANIFOLD
+    if cycles == 1 and chi == 1:
+        return PointClass.BOUNDARY_MANIFOLD
+    return PointClass.NON_MANIFOLD
+
+
+def _screen(lk: frozenset[Simplex], ell: int) -> PointClass:
+    """A link of dimension 3 or more: the necessary conditions only."""
+    tops = [t for t in lk if t.dim == ell]
+    if not all(any(set(s.vertices) <= set(t.vertices) for t in tops) for s in lk):
+        return PointClass.NON_MANIFOLD
+    on_ridge = Counter(f for t in tops for f in t.facets())
+    if any(n > 2 for n in on_ridge.values()):
+        return PointClass.NON_MANIFOLD
+    vertices = [t.vertices[0] for t in lk if t.dim == 0]
+    if _component_count(vertices, [t.vertices for t in lk if t.dim == 1]) != 1:
+        return PointClass.NON_MANIFOLD
+    chi = sum((-1) ** t.dim for t in lk)
+    if chi != (1 if 1 in on_ridge.values() else 1 + (-1) ** ell):
+        return PointClass.NON_MANIFOLD
+    return PointClass.UNKNOWN
+
+
+def oracle_point_class(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
+    """Class of the points of the open simplex s in the k-complex |K|, from
+    the definitions: the link must be a sphere or a ball of dimension
+    k - dim(s) - 1, recognised as a cycle or a path in dimension 1 and by
+    surface classification in dimension 2; above that only the necessary
+    conditions are checked, and a link that passes is Unknown."""
+    lk = oracle_link(s, K)
+    if not lk:
+        return PointClass.INTERIOR_MANIFOLD if s.dim == k else PointClass.NON_MANIFOLD
+    ell = k - s.dim - 1
+    if max(t.dim for t in lk) != ell:
+        return PointClass.NON_MANIFOLD
+    if ell == 0:
+        return {2: PointClass.INTERIOR_MANIFOLD, 1: PointClass.BOUNDARY_MANIFOLD}.get(
+            len(lk), PointClass.NON_MANIFOLD
+        )
+    if ell == 1:
+        return _graph_class(lk)
+    if ell == 2:
+        return _surface_class(lk)
+    return _screen(lk, ell)
+
+
+def _compactified_carrier(
+    a: SimplicialMap, W: SimplicialComplex, punctures: SimplicialComplex
+) -> OpenSimplexSet:
+    """``limit_set`` of ``a`` restricted to W, presented with the given
+    punctures in W and an unpunctured (compact) target."""
+    g = SimplicialMap.from_dict(W, a.target, {v: a.apply_vertex(v) for v in W.vertices})
+    f = CompactifiedMap(PuncturedComplex(W, punctures), PuncturedComplex.compact(a.target), g)
+    return limit_set(f).carrier
+
+
+def assert_carriers_are_limit_sets(cert) -> None:
+    """Both carriers of a pseudocycle or bordism certificate equal the limit
+    sets of the compactified maps: the map on the whole complex and on the
+    boundary (or the side boundary), punctured at the singular set."""
+    if isinstance(cert, PseudocycleCertificate):
+        whole, part = cert.circuit.L, cert.circuit.K
+        carriers = (cert.limit_carrier, cert.boundary_limit_carrier)
+    else:
+        R = cert.bordism
+        whole, part = R.N, SimplicialComplex.from_simplices(R.M.simplices - R.L.simplices)
+        carriers = (cert.limit_carrier, cert.side_limit_carrier)
+    sigma = cert.sigma.complex
+    assert carriers == tuple(
+        _compactified_carrier(cert.map, W, sigma.intersection(W)) for W in (whole, part)
+    )

@@ -186,6 +186,7 @@ class TestObjectLoaders:
         "check-bordism": (["check-bordism", "bordism", "bmap", "btarget"], "bordism"),
         "limit-set": (["limit-set", "cmap"], "cmap"),
         "glue": (["glue", "circuit", "circuit2", "--iso", "iso"], "circuit2"),
+        "glue-iso": (["glue", "circuit", "circuit2", "--iso", "iso"], "iso"),
         "verify-cert": (["verify-cert", "cert"], "cert"),
     }
 
@@ -221,12 +222,23 @@ class TestObjectLoaders:
             ("cmap", {"target": PUNCTURED, "vertex_map": {"0": 0, "1": 1}}),
             ("cmap", {"domain": 5, "target": PUNCTURED, "vertex_map": {"0": 0, "1": 1}}),
             ("cert", {"kind": "pseudocycle-certificate", "circuit": DISK}),
+            ("map", {"vertex_map": {"0": 0.5, "1": 1, "2": 2}}),
+            ("map", {"vertex_map": {"0": 0, "1": True, "2": 2}}),
+            ("circuit", {"maximal": [[0, 1, 2]], "k": "two"}),
+            ("circuit", {"maximal": [[0, 1, 2]], "k": True}),
+            ("bordism", {**BORDISM, "k": 2.0}),
+            ("iso", {"interface_a": [], "interface_b": [], "vertex_map": 5}),
+            ("iso", {"interface_a": [], "interface_b": [], "vertex_map": {"0": "x"}}),
         ],
-        ids=["vertex-map-int", "vertex-map-string-value", "no-domain", "domain-int", "cert-fields"],
+        ids=["vertex-map-int", "vertex-map-string-value", "no-domain", "domain-int", "cert-fields",
+             "vertex-map-float-value", "vertex-map-bool-value", "circuit-k-string",
+             "circuit-k-bool", "bordism-k-float", "iso-map-int", "iso-map-string-value"],
     )
     def test_malformed_fields(self, capsys, tmp_path, name, payload):
         argv = {"map": ["psi", "circuit", "map", "target"], "cmap": ["limit-set", "cmap"],
-                "cert": ["verify-cert", "cert"]}[name]
+                "cert": ["verify-cert", "cert"], "circuit": ["check-circuit", "circuit"],
+                "bordism": ["check-bordism", "bordism", "bmap", "btarget"],
+                "iso": ["glue", "circuit", "circuit2", "--iso", "iso"]}[name]
         paths = self.files(tmp_path, name, payload)
         TestHomologyLoader.assert_json_error(capsys, [paths.get(a, a) for a in argv])
 
@@ -237,6 +249,31 @@ class TestObjectLoaders:
         capsys.readouterr()
         cert = json.loads((tmp_path / "cert.json").read_text())
         cert["orientation"] = 5
+        write(tmp_path, "cert.json", cert)
+        TestHomologyLoader.assert_json_error(capsys, ["verify-cert", out])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("signs", 5),
+            ("signs", [[[0, 1, 2], "x"]]),
+            ("signs", [[[0, 1, 2], 7]]),
+            ("signs", [[[0, 1, 2]]]),
+            ("signs", [[5, 1]]),
+            ("witness_cycle", 5),
+            ("witness_cycle", [["a"]]),
+            ("orientable", "no"),
+        ],
+        ids=["signs-int", "sign-string", "sign-seven", "sign-missing", "signs-simplex-int", "cycle-int",
+             "cycle-string-vertex", "orientable-string"],
+    )
+    def test_malformed_orientation(self, capsys, tmp_path, field, value):
+        paths = self.files(tmp_path, "cert", None)
+        out = str(tmp_path / "cert.json")
+        assert main(["psi", paths["circuit"], paths["map"], paths["target"], "--out", out]) == 0
+        capsys.readouterr()
+        cert = json.loads((tmp_path / "cert.json").read_text())
+        cert["orientation"][field] = value
         write(tmp_path, "cert.json", cert)
         TestHomologyLoader.assert_json_error(capsys, ["verify-cert", out])
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from circuitsmith import (
+    BordismCertificate,
+    PseudocycleCertificate,
     RelativeCircuitData,
     SimplicialComplex,
     SimplicialMap,
@@ -30,6 +32,7 @@ from circuitsmith.serialize import (
 )
 
 from .conftest import simplex_boundary_complex
+from .oracles import assert_carriers_are_limit_sets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,16 +51,15 @@ def _disk_target() -> TargetPair:
     return TargetPair(disk.L, disk.K)
 
 
-def _identity_psi(circuit: RelativeCircuitData, target: TargetPair) -> dict:
-    cert = psi(circuit, SimplicialMap.identity(circuit.L), target)
-    return pseudocycle_certificate_to_json(cert)
+def _identity_psi(circuit: RelativeCircuitData, target: TargetPair) -> PseudocycleCertificate:
+    return psi(circuit, SimplicialMap.identity(circuit.L), target)
 
 
-def disk() -> dict:
+def disk() -> PseudocycleCertificate:
     return _identity_psi(_disk(), _disk_target())
 
 
-def subdivided_disk() -> dict:
+def subdivided_disk() -> PseudocycleCertificate:
     disk = _disk()
     triangle, boundary = disk.L, disk.K
     sd = barycentric_subdivision(triangle)
@@ -71,10 +73,10 @@ def subdivided_disk() -> dict:
     circuit = RelativeCircuitData(sd.complex, K, 2, SimplicialComplex.empty())
     last_vertex = {v: max(sd.barycenter_of[v].vertices) for v in sd.complex.vertices}
     a = SimplicialMap.from_dict(sd.complex, triangle, last_vertex)
-    return pseudocycle_certificate_to_json(psi(circuit, a, _disk_target()))
+    return psi(circuit, a, _disk_target())
 
 
-def wedge() -> dict:
+def wedge() -> PseudocycleCertificate:
     wedge = build_complex(
         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3],
          [3, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6]]
@@ -83,19 +85,19 @@ def wedge() -> dict:
     return _identity_psi(circuit, TargetPair.absolute(wedge))
 
 
-def three_sphere() -> dict:
+def three_sphere() -> PseudocycleCertificate:
     sphere = simplex_boundary_complex(4)
     return _identity_psi(RelativeCircuitData.closed(sphere, 3), TargetPair.absolute(sphere))
 
 
-def three_ball() -> dict:
+def three_ball() -> PseudocycleCertificate:
     solid = build_complex([[0, 1, 2, 3]])
     rim = simplex_boundary_complex(3)
     circuit = RelativeCircuitData(solid, rim, 3, SimplicialComplex.empty())
     return _identity_psi(circuit, TargetPair(solid, rim))
 
 
-def stellar_sphere() -> dict:
+def stellar_sphere() -> PseudocycleCertificate:
     """The 2-sphere with the face [0, 1, 2] starred at a new vertex 4, mapped
     to the boundary of the tetrahedron by sending 4 to a carrier vertex."""
     sphere = simplex_boundary_complex(3)
@@ -104,26 +106,24 @@ def stellar_sphere() -> dict:
     )
     circuit = RelativeCircuitData.closed(stellar, 2)
     a = SimplicialMap.from_dict(stellar, sphere, {0: 0, 1: 1, 2: 2, 3: 3, 4: 0})
-    return pseudocycle_certificate_to_json(psi(circuit, a, TargetPair.absolute(sphere)))
+    return psi(circuit, a, TargetPair.absolute(sphere))
 
 
-def disk_cylinder() -> dict:
+def disk_cylinder() -> BordismCertificate:
     disk = _disk()
     cyl = cylinder(disk)
     d = {pv: uv[0] for pv, uv in cyl.product.vertex_pairs.items()}
     dmap = SimplicialMap.from_dict(cyl.bordism.N, disk.L, d)
-    cert = verify_bordism_certificate(cyl.bordism, dmap, _disk_target())
-    return bordism_certificate_to_json(cert)
+    return verify_bordism_certificate(cyl.bordism, dmap, _disk_target())
 
 
-def disk_subdivision_bordism() -> dict:
+def disk_subdivision_bordism() -> BordismCertificate:
     disk = _disk()
     sb = subdivision_bordism(disk)
     d = {pv: v for v, pv in sb.prism.bottom_vertex.items()}
     d.update({pv: max(s.vertices) for s, pv in sb.prism.top_vertex.items()})
     dmap = SimplicialMap.from_dict(sb.bordism.N, disk.L, d)
-    cert = verify_bordism_certificate(sb.bordism, dmap, _disk_target())
-    return bordism_certificate_to_json(cert)
+    return verify_bordism_certificate(sb.bordism, dmap, _disk_target())
 
 
 CASES = {
@@ -141,10 +141,19 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_certificate(name):
     golden = (GOLDEN / f"{name}.json").read_text()
-    payload = CASES[name]()
+    cert = CASES[name]()
+    if isinstance(cert, PseudocycleCertificate):
+        payload = pseudocycle_certificate_to_json(cert)
+    else:
+        payload = bordism_certificate_to_json(cert)
     assert payload["valid"]
     assert dumps(payload) == golden
     assert reverify_certificate(json.loads(golden)) == (True, [])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_carriers_are_limit_sets(name):
+    assert_carriers_are_limit_sets(CASES[name]())
 
 
 def test_corpus_has_no_stray_files():

@@ -34,6 +34,7 @@ from circuitsmith.serialize import (
 )
 
 from .conftest import simplex_boundary_complex
+from .oracles import assert_carriers_are_limit_sets
 
 
 def subdivided_disk_pair():
@@ -59,6 +60,7 @@ class TestPsi:
         target = TargetPair(disk_pair.L, disk_pair.K)
         cert = psi(disk_pair, SimplicialMap.identity(disk_pair.L), target)
         assert cert.valid
+        assert_carriers_are_limit_sets(cert)
         assert not cert.sigma.complex.simplices
         assert cert.bound_main.limit_dimension == -1
         assert cert.bound_boundary.limit_dimension == -1
@@ -72,6 +74,7 @@ class TestPsi:
         a = SimplicialMap.from_dict(data.L, disk_pair.L, last_vertex_map(sd, disk_pair.L))
         cert = psi(data, a, target)
         assert cert.valid
+        assert_carriers_are_limit_sets(cert)
         barycenter = sd.vertex_for[Simplex((0, 1, 2))]
         assert cert.sigma.complex.simplices == frozenset({Simplex((barycenter,))})
         # the carrier is exactly the image of the singular set
@@ -84,6 +87,7 @@ class TestPsi:
         target = TargetPair.absolute(wedge_circuit.L)
         cert = psi(wedge_circuit, SimplicialMap.identity(wedge_circuit.L), target)
         assert cert.valid
+        assert_carriers_are_limit_sets(cert)
         assert Simplex((3,)) in cert.sigma.complex.simplices
         assert cert.bound_main.limit_dimension == 0 == cert.k - 2
         assert cert.bound_boundary.limit_dimension == -1
@@ -93,6 +97,7 @@ class TestPsi:
         target = TargetPair.absolute(circle_circuit.L)
         cert = psi(circle_circuit, SimplicialMap.identity(circle_circuit.L), target)
         assert cert.valid
+        assert_carriers_are_limit_sets(cert)
         assert not cert.sigma.complex.simplices
         assert cert.bound_main.max_allowed == -1
         assert cert.bound_boundary.max_allowed == -1
@@ -141,6 +146,8 @@ class TestPsi:
             fold_vm[w] = v
         fold = SimplicialMap.from_dict(union.data.L, sphere_circuit.L, fold_vm)
         cert_union = psi(union.data, fold, target)
+        assert_carriers_are_limit_sets(cert_single)
+        assert_carriers_are_limit_sets(cert_union)
         # both components carry the canonical propagated orientation, so the
         # union evaluates to exactly the sum of the single evaluations
         single = cert_single.homology_coordinates.free
@@ -156,6 +163,7 @@ class TestPsi:
         a = SimplicialMap.from_dict(sd.complex, sphere3, last_vertex)
         cert = psi(data, a, TargetPair.absolute(sphere3))
         assert cert.valid
+        assert_carriers_are_limit_sets(cert)
         assert cert.sigma.dim == 1 == cert.k - 2
         assert cert.bound_main.limit_dimension <= 1
         assert cert.homology_coordinates.degree == 3
@@ -176,6 +184,8 @@ class TestPsi:
             TargetPair.absolute(disk_pair.K),
             orientation=ob,
         )
+        assert_carriers_are_limit_sets(cert)
+        assert_carriers_are_limit_sets(cert_b)
         H_pair = homology(disk_pair.L, disk_pair.K)
         H_sub = homology(disk_pair.K)
         connecting = connecting_coordinates(H_pair, H_sub, cert.fundamental)
@@ -191,6 +201,7 @@ class TestBordismCertificates:
             cyl.bordism, proj, TargetPair.absolute(circle_circuit.L)
         )
         assert cert.valid
+        assert_carriers_are_limit_sets(cert)
         assert cert.bound_main.limit_dimension <= cert.bound_main.max_allowed
 
     def test_solid_tetra_certificate(self, sphere_circuit, tetra_boundary):
@@ -203,6 +214,7 @@ class TestBordismCertificates:
             R, SimplicialMap.identity(solid), TargetPair.absolute(solid)
         )
         assert cert.valid
+        assert_carriers_are_limit_sets(cert)
         assert cert.bound_main.limit_dimension == 0 <= 1
 
     def test_corrupted_singular_set_rejected_before_sigma(self, sphere_circuit, tetra_boundary):

@@ -11,6 +11,7 @@ from circuitsmith import (
     Simplex,
     build_complex,
     classify_point,
+    homology,
     non_manifold_set,
     pseudomanifold_check,
     region_is_pl_manifold,
@@ -20,7 +21,8 @@ from circuitsmith import recognition
 from circuitsmith.errors import ContractError, NotFoundError
 
 from .conftest import simplex_boundary_complex
-from .generators import random_complex, random_subcomplex
+from .generators import random_complex, random_subcomplex, stellar_sphere
+from .oracles import oracle_point_class
 
 
 class TestClassifyPoint:
@@ -66,6 +68,51 @@ class TestClassifyPoint:
             K = simplex_boundary_complex(n)
             classes = {classify_point(Simplex((v,)), K, n - 1) for v in K.vertices}
             assert classes == {PointClass.INTERIOR_MANIFOLD}
+
+
+class TestOracleAgreement:
+    """``classify_point`` against the definitions, at every k from 0 to
+    dim + 1, so links of every dimension up to four are met."""
+
+    @staticmethod
+    def assert_agrees(K):
+        for k in range(K.dim + 2):
+            for s in K.sorted_simplices:
+                assert classify_point(s, K, k) is oracle_point_class(s, K, k), (s, k)
+
+    def test_random_complexes(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            self.assert_agrees(random_complex(rng, n_vertices=8, n_generators=8, max_dim=4))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stellar_spheres(self, n):
+        rng = random.Random(n)
+        for moves in (1, 2):
+            facets = stellar_sphere(rng, n, moves)
+            sphere = build_complex(facets)
+            assert not non_manifold_set(sphere).non_manifold_subcomplex.simplices
+            extra = sorted(rng.sample(sorted(sphere.vertices), n + 1))
+            for K in (sphere, build_complex(facets[1:]), build_complex(facets + [extra])):
+                self.assert_agrees(K)
+
+    def test_cone_over_wedge_of_surfaces(self):
+        # The apex link, S^2 v S^2 v T^2 wedged at vertex 0, is pure and
+        # connected, has every edge in two triangles and Euler characteristic
+        # 2, as a 2-sphere does.  Only the link of the wedge vertex inside it,
+        # three disjoint circles, shows that it is no surface.
+        torus = [sorted({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+        torus += [sorted({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)]
+        spheres = [[0, 7, 8], [0, 7, 9], [0, 8, 9], [7, 8, 9],
+                   [0, 10, 11], [0, 10, 12], [0, 11, 12], [10, 11, 12]]
+        wedge = build_complex(torus + spheres)
+        assert pseudomanifold_check(wedge, 2).passed
+        assert wedge.euler_characteristic == 2
+        assert homology(wedge).betti_numbers()[0] == 1
+        cone = build_complex([t + [13] for t in torus + spheres])
+        for s in (Simplex((13,)), Simplex((0,)), Simplex((0, 13))):
+            assert classify_point(s, cone, 3) is PointClass.NON_MANIFOLD
+            assert oracle_point_class(s, cone, 3) is PointClass.NON_MANIFOLD
 
 
 class TestNonManifoldSet:
@@ -205,6 +252,20 @@ class TestClassificationMemo:
         )
         assert len(calls) == len(wedge_spheres)
         assert len(set(calls)) == len(calls)
+
+    def test_no_link_of_a_link(self, monkeypatch, four_simplex_boundary):
+        # Vertex links of the 3-sphere are 2-spheres; their own vertex links
+        # are read off the memo, so each simplex has its link built once.
+        links = []
+        plain = recognition.link
+
+        def counted(s, K):
+            links.append(s)
+            return plain(s, K)
+
+        monkeypatch.setattr(recognition, "link", counted)
+        assert non_manifold_set(four_simplex_boundary).exact
+        assert sorted(links) == list(four_simplex_boundary.sorted_simplices)
 
     def test_memo_is_per_host_object(self, tetra_boundary):
         twin = simplex_boundary_complex(3)

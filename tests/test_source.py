@@ -47,3 +47,23 @@ def _process_cache_uses(path):
 def test_no_process_wide_caches():
     uses = [u for p in FILES if p.suffix == ".py" for u in _process_cache_uses(p)]
     assert uses == []
+
+
+def _private_helpers(tree):
+    """Names of module-level ``_functions`` and non-dunder ``_methods``."""
+    defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        defs += [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {n.name for n in defs if n.name.startswith("_") and not n.name.endswith("__")}
+
+
+def test_private_helpers_have_callers():
+    trees = [ast.parse(p.read_text()) for p in FILES if p.suffix == ".py"]
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    helpers = set().union(*(_private_helpers(tree) for tree in trees))
+    assert sorted(helpers - named) == []
