@@ -2,7 +2,8 @@
 
 Subcommands consume the JSON formats documented in the README and print a
 JSON report.  Exit codes: 0 for a valid result, 1 for an invalid one (the
-report carries witnesses), 2 when recognition returned Unknown.
+report carries witnesses) or for input that cannot be read, parsed or
+accepted (the report carries the error), 2 when recognition returned Unknown.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import serialize
 from .circuits import glue, singular_set, verify_circuit
-from .errors import CircuitsmithError, PipelineError
+from .errors import CircuitsmithError, MalformedInputError, PipelineError
 from .homology import evaluate, fundamental_class, homology, orient_circuit
 from .limits import compose as compose_maps
 from .limits import is_proper, limit_set
@@ -30,7 +31,15 @@ EXIT_UNKNOWN = 2
 
 
 def _load(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON document in the file at ``path``."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc}")
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedInputError(f"{path} does not decode as JSON: {exc}")
 
 
 def _emit(payload: dict, out: str | None = None) -> None:

@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
-    InternalInvariantError,
     MalformedInputError,
     MapError,
     NotFoundError,
@@ -116,7 +115,15 @@ class Simplex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite, face-closed set of simplices."""
+    """A finite, face-closed set of simplices.
+
+    The constructor takes the set as given: it must already be face-closed.
+    Data from outside the program enters through ``build_complex``,
+    ``from_simplices`` and the ``serialize`` loaders, which take the face
+    closure.  Every other complex the package builds is face-closed by
+    construction, and ``tests/test_complexes.py::TestInvariants`` asserts it
+    for each construction site.
+    """
 
     simplices: frozenset[Simplex]
 
@@ -133,12 +140,6 @@ class SimplicialComplex:
     @classmethod
     def empty(cls) -> "SimplicialComplex":
         return cls(frozenset())
-
-    def __post_init__(self) -> None:
-        for s in self.simplices:
-            for f in s.facets():
-                if f not in self.simplices:
-                    raise InternalInvariantError(f"complex not face-closed: {f} missing under {s}")
 
     @cached_property
     def dim(self) -> int:
@@ -206,14 +207,6 @@ class SimplicialComplex:
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return self.simplices <= other.simplices
-
-    def restrict(self, members: Iterable[Simplex]) -> "SimplicialComplex":
-        """Face closure of the given members, which must all belong to self."""
-        ms = set(members)
-        missing = ms - self.simplices
-        if missing:
-            raise NotFoundError(f"{len(missing)} simplices not in complex, e.g. {sorted(missing)[0]}")
-        return SimplicialComplex.from_simplices(ms)
 
     def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
         return SimplicialComplex(self.simplices | other.simplices)

@@ -203,18 +203,16 @@ class HomologyResult:
 
     def _kernel_coordinates(self, k: int, qinv: Matrix, r_out: int) -> Matrix:
         """Rows r_out.. of Qinv times the incoming boundary, built from one
-        sparse boundary column at a time; the rows above r_out vanish
-        because boundaries are cycles."""
+        sparse boundary column at a time.  The rows above r_out vanish
+        because boundaries are cycles, so they are never formed."""
         n = len(qinv)
-        qinv_columns = list(zip(*qinv))
+        kernel_columns = [column[r_out:] for column in zip(*qinv)]
         u = []
         for column in self._columns.get(k + 1, ()):
-            col = [0] * n
+            col = [0] * (n - r_out)
             for r, sign in column:
-                col = [x + y if sign > 0 else x - y for x, y in zip(col, qinv_columns[r])]
-            if any(col[:r_out]):
-                raise InternalInvariantError("boundary of a boundary is nonzero")
-            u.append(col[r_out:])
+                col = [x + y if sign > 0 else x - y for x, y in zip(col, kernel_columns[r])]
+            u.append(col)
         return [list(row) for row in zip(*u)] if u else [[] for _ in range(r_out, n)]
 
     def betti(self, k: int) -> int:
@@ -437,7 +435,6 @@ def evaluate(
     z: IntChain,
     A: SimplicialComplex | None = None,
     domain_boundary: SimplicialComplex | None = None,
-    target_homology: HomologyResult | None = None,
 ) -> Coordinates:
     """Coordinates of the pushed-forward relative cycle in the target pair.
 
@@ -454,8 +451,7 @@ def evaluate(
         pushed.degree,
         {s: c for s, c in pushed.coefficients.items() if s not in A.simplices},
     )
-    H = target_homology or homology(a.target, A)
-    return H.coordinates(relative)
+    return homology(a.target, A).coordinates(relative)
 
 
 def connecting_coordinates(

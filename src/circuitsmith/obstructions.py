@@ -40,29 +40,18 @@ def dual_complex(K: SimplicialComplex, r: int) -> DualComplexResult:
     strictly above dimension r.
 
     Its dimension is at most dim K - r - 1, and every subdivision simplex
-    splits uniquely into a low chain and a member chain; both facts are
-    verified, not assumed.
+    splits uniquely into a low chain and a member chain.  Both are theorems;
+    ``test_criterion_6_dual_complex_bounds`` asserts them.
     """
     if r < 0 or r > K.dim:
         raise MalformedInputError(f"need 0 <= r <= {K.dim}, got {r}")
     sd = barycentric_subdivision(K)
     members = set()
     for s in sd.complex.simplices:
-        chain = sd.chain_of(s)
-        low, high = join_decompose(chain, r)
-        # Totality and uniqueness of the split for every subdivision simplex.
-        if low + high != chain:
-            raise InternalInvariantError("join decomposition failed to reconstitute a chain")
-        if any(t.dim > r for t in low) or any(t.dim <= r for t in high):
-            raise InternalInvariantError("join decomposition mixed dimensions")
+        low, _ = join_decompose(sd.chain_of(s), r)
         if not low:
             members.add(s)
-    dual = SimplicialComplex(frozenset(members))
-    if dual.dim > K.dim - r - 1:
-        raise InternalInvariantError(
-            f"dual complex has dimension {dual.dim}, bound is {K.dim - r - 1}"
-        )
-    return DualComplexResult(dual, sd, r, K.dim)
+    return DualComplexResult(SimplicialComplex(frozenset(members)), sd, r, K.dim)
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,9 @@ def psi(
     Stages run in order: circuit axioms, singular set, manifold complement,
     orientation, fundamental class, homology evaluation, limit carriers,
     dimension bounds, obstruction report.  The first failing stage raises
-    ``PipelineError`` with its witnesses.
+    ``PipelineError`` with its witnesses.  A given ``orientation`` is
+    trusted only once its signs are 1 or -1 on exactly the k-simplices of
+    the circuit; otherwise the orientation stage fails.
     """
     k = circuit.k
     if a.source.simplices != circuit.L.simplices:
@@ -136,9 +138,6 @@ def psi(
         )
 
     sigma = singular_set("b", circuit)
-    if k <= 1 and sigma.complex.simplices:
-        raise InternalInvariantError("low-dimensional circuits must have empty singular sets")
-
     complement = verify_manifold_complement("b", circuit, sigma)
     if not complement.valid:
         witnesses = tuple(w for c in complement.checks for w in c.witnesses)
@@ -151,6 +150,16 @@ def psi(
 
     if orientation is None:
         orientation = orient_circuit(circuit)
+    elif orientation.orientable:
+        tops = set(circuit.L.simplices_of_dim(k))
+        off = {s for s, c in orientation.signs.items() if s not in tops or c not in (1, -1)}
+        off |= tops.difference(orientation.signs)
+        if off:
+            raise _fail(
+                "orientation",
+                f"given signs must be 1 or -1 on exactly the {k}-simplices of the circuit",
+                sorted(off, key=lambda s: s.sort_key),
+            )
     if not orientation.orientable:
         raise _fail("orientation", "circuit is not orientable", orientation.witness_cycle)
 

@@ -178,10 +178,6 @@ class RegionReport:
     boundary: frozenset[Simplex]
     unknowns: frozenset[Simplex]
 
-    @property
-    def yes(self) -> bool:
-        return self.verdict is RegionVerdict.YES
-
 
 def region_is_pl_manifold(U: OpenSimplexSet, k: int) -> RegionReport:
     """Decide whether the union of open simplices U is a PL k-manifold.

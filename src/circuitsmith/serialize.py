@@ -235,8 +235,6 @@ def orientation_from_json(payload: Mapping) -> OrientationAssignment:
         raise MalformedInputError("'signs' must be a list of [simplex, sign] pairs")
     _vertex_lists([vs for vs, _ in pairs], "the simplices in 'signs'")
     signs = {Simplex.of(vs): _int(c, "a sign in 'signs'") for vs, c in pairs}
-    if not set(signs.values()) <= {1, -1}:
-        raise MalformedInputError("each sign in 'signs' must be 1 or -1")
     cycle = _vertex_lists(payload.get("witness_cycle", []), "'witness_cycle'")
     orientable = payload.get("orientable", True)
     if not isinstance(orientable, bool):

@@ -127,6 +127,12 @@ def oracle_homology(
     return betti, torsion
 
 
+def assert_face_closed(K: SimplicialComplex, what: str = "complex") -> None:
+    """Every facet of every simplex of K is again a simplex of K."""
+    missing = [(f, s) for s in K.simplices for f in s.facets() if f not in K.simplices]
+    assert not missing, f"{what} is not face-closed: {missing[0][0]} missing under {missing[0][1]}"
+
+
 def oracle_link(s: Simplex, K: SimplicialComplex) -> frozenset[Simplex]:
     """The link by its definition: simplices of K disjoint from s whose
     vertex union with s is again a simplex of K, found by scanning K."""

@@ -202,6 +202,8 @@ class TestObjectLoaders:
             "cmap": self.CMAP,
             "iso": {"interface_a": [], "interface_b": [], "vertex_map": {}},
             "cert": {"kind": "pseudocycle-certificate"},
+            "complex": {"maximal": [[0, 1, 2]]},
+            "rel": [[0, 1]],
         }
         good[bad] = payload
         return {name: write(tmp_path, f"{name}.json", p) for name, p in good.items()}
@@ -212,6 +214,24 @@ class TestObjectLoaders:
     def test_non_object_payload(self, capsys, tmp_path, case, payload):
         argv, bad = self.CASES[case]
         paths = self.files(tmp_path, bad, payload)
+        TestHomologyLoader.assert_json_error(capsys, [paths.get(a, a) for a in argv])
+
+    UNREADABLE = {
+        "psi": (["psi", "circuit", "map", "target"], "circuit"),
+        "homology-rel": (["homology", "complex", "--rel", "rel"], "rel"),
+        "verify-cert": (["verify-cert", "cert"], "cert"),
+    }
+
+    @pytest.mark.parametrize("kind", ["missing", "not-json", "too-deep"])
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_file(self, capsys, tmp_path, case, kind):
+        argv, bad = self.UNREADABLE[case]
+        paths = self.files(tmp_path, bad, None)
+        if kind == "missing":
+            (tmp_path / f"{bad}.json").unlink()
+        else:
+            text = "{not json" if kind == "not-json" else "[" * 100_000
+            (tmp_path / f"{bad}.json").write_text(text)
         TestHomologyLoader.assert_json_error(capsys, [paths.get(a, a) for a in argv])
 
     @pytest.mark.parametrize(

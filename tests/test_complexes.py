@@ -8,24 +8,41 @@ from hypothesis import strategies as st
 
 from circuitsmith import (
     OpenSimplexSet,
+    RelativeCircuitData,
     Simplex,
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
     build_complex,
     complex_isomorphism,
+    cylinder,
+    disjoint_union_circuits,
+    dual_complex,
     join_decompose,
     link,
+    preimage_restrict,
+    product,
     product_complex,
+    restrict_closed,
+    self_glue,
+    singular_set,
     skeleton,
     star,
+    subdivision_bordism,
     subdivision_prism,
 )
+from circuitsmith.complexes import offset_labels, relabel
 from circuitsmith.errors import MalformedInputError, NotFoundError
 
 from .conftest import simplex_boundary_complex
-from .generators import random_complex
-from .oracles import oracle_link, oracle_star
+from .generators import (
+    random_compactified_map,
+    random_complex,
+    random_subcomplex,
+    small_map_for_products,
+    stellar_sphere,
+)
+from .oracles import assert_face_closed, oracle_link, oracle_star
 
 
 def euler(K):
@@ -310,15 +327,107 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     @given(complexes())
     def test_every_construction_is_face_closed(self, K):
-        for s in K.simplices:
-            for f in s.facets():
-                assert f in K.simplices
+        assert_face_closed(K)
 
     @settings(max_examples=30, deadline=None)
     @given(complexes())
     def test_links_face_closed(self, K):
         for s in sorted(K.simplices, key=lambda t: t.sort_key)[:20]:
-            link(s, K)
+            assert_face_closed(link(s, K), f"link of {s}")
+
+    def test_raw_constructions_are_face_closed(self):
+        """The raw ``SimplicialComplex`` constructor trusts that its set is
+        face-closed.  Every site in the package that calls it is checked
+        here on seeded instances: complex operations, subdivision prisms,
+        singular sets, circuit and bordism constructions, dual complexes and
+        the puncture complexes of the limit calculus."""
+        rng = random.Random(29)
+        for round_ in range(6):
+            K = random_complex(rng, n_vertices=7, n_generators=5, max_dim=3)
+            A = random_subcomplex(rng, K)
+            other = random_complex(rng, n_vertices=9, n_generators=4, max_dim=2)
+            prism = subdivision_prism(K)
+            built = {
+                "union": K.union(other),
+                "intersection": K.intersection(other),
+                "barycentric_subdivision": barycentric_subdivision(K).complex,
+                "relabel": relabel(K, {v: 3 * v + 1 for v in K.vertices}),
+                "prism.complex": prism.complex,
+                "prism.bottom": prism.bottom,
+                "prism.top": prism.top,
+                "prism.over": prism.over(A),
+            }
+            built.update({f"link of {s}": link(s, K) for s in K.sorted_simplices})
+            built.update({f"skeleton {i}": skeleton(K, i) for i in range(-1, K.dim + 1)})
+            built.update({f"dual_complex {r}": dual_complex(K, r).complex for r in range(K.dim + 1)})
+            # Checked before the circuit constructions, which recognise
+            # manifolds through links and would fail first on a bad link.
+            for what, C in built.items():
+                assert_face_closed(C, what)
+
+            built = {}
+            k = round_ % 3 + 1
+            sphere = stellar_sphere(rng, k, moves=3)
+            closed = RelativeCircuitData.closed(build_complex(sphere), k)
+            apex = sphere[0][0]
+            ball = RelativeCircuitData(
+                build_complex([t for t in sphere if apex not in t]),
+                link(Simplex((apex,)), closed.L),
+                k,
+                SimplicialComplex.empty(),
+            )
+            sigma_b = singular_set("b", ball).complex
+            singular_ball = RelativeCircuitData(ball.L, ball.K, k, sigma_b)
+            built["singular_set a"] = singular_set("a", closed).complex
+            built["singular_set b"] = sigma_b
+
+            cyl = cylinder(singular_ball)
+            sb = subdivision_bordism(singular_ball)
+            for name, R in (("cylinder", cyl.bordism), ("subdivision_bordism", sb.bordism)):
+                built.update({f"{name}.{part}": getattr(R, part) for part in "NMLKS"})
+                built[f"singular_set c of {name}"] = singular_set("c", R).complex
+            built.update({"cylinder.bottom": cyl.bottom, "cylinder.top": cyl.top})
+            for name, Q in (("bottom", sb.bottom_circuit), ("top", sb.top_circuit)):
+                built.update({f"subdivision_bordism.{name}.{part}": getattr(Q, part) for part in "LKS"})
+
+            shifted, _ = offset_labels(closed.L, 100)
+            glued = disjoint_union_circuits(
+                RelativeCircuitData.closed(closed.L, k, skeleton(closed.L, k - 2)),
+                RelativeCircuitData.closed(shifted, k, skeleton(shifted, k - 2)),
+            )
+            built.update({f"glue.{part}": getattr(glued.data, part) for part in "LKS"})
+            built["glue.image_of_left"] = glued.image_of_left()
+            built["glue.image_of_right"] = glued.image_of_right()
+
+            # The prism over the sphere along a path of three edges, with its
+            # two end copies folded onto each other.
+            pr = product_complex(closed.L, build_complex([[0, 1], [1, 2], [2, 3]]))
+            ends = [
+                SimplicialComplex(frozenset(
+                    s for s in pr.complex.simplices if pr.project_right(s) == Simplex((e,))
+                ))
+                for e in (0, 3)
+            ]
+            over_vertices = SimplicialComplex(frozenset(
+                s for s in pr.complex.simplices if pr.project_left(s).dim == 0
+            ))
+            annulus = RelativeCircuitData(pr.complex, ends[0].union(ends[1]), k + 1, over_vertices)
+            iso = {pr.lift(v, 0): pr.lift(v, 3) for v in closed.L.vertices}
+            folded = self_glue(annulus, ends[0], ends[1], iso).data
+            built.update({f"self_glue.{part}": getattr(folded, part) for part in "LKS"})
+
+            prod = product(small_map_for_products(rng), small_map_for_products(rng)).map
+            built["product source punctures"] = prod.domain.S
+            built["product target punctures"] = prod.target.S
+            f = random_compactified_map(rng)
+            tops = [s for s in f.domain.W.maximal_simplices if rng.random() < 0.6]
+            W1 = SimplicialComplex.from_simplices(tops or f.domain.W.maximal_simplices)
+            built["restrict_closed punctures"] = restrict_closed(f, W1).map.domain.S
+            image = SimplicialComplex.from_simplices(f.apply(s) for s in W1.simplices)
+            built["preimage_restrict punctures"] = preimage_restrict(f, image).map.domain.S
+
+            for what, C in built.items():
+                assert_face_closed(C, what)
 
     @settings(max_examples=20, deadline=None)
     @given(complexes())

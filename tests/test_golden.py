@@ -24,6 +24,7 @@ from circuitsmith import (
     subdivision_bordism,
     verify_bordism_certificate,
 )
+from circuitsmith.cli import main
 from circuitsmith.serialize import (
     bordism_certificate_to_json,
     dumps,
@@ -154,6 +155,17 @@ def test_golden_certificate(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_carriers_are_limit_sets(name):
     assert_carriers_are_limit_sets(CASES[name]())
+
+
+def test_foreign_sign_is_rejected(tmp_path, capsys):
+    """A certificate whose orientation signs a simplex outside the circuit
+    does not re-verify."""
+    cert = json.loads((GOLDEN / "psi_disk.json").read_text())
+    cert["orientation"]["signs"].append([[7, 8, 9], 1])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify-cert", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["stage"] == "orientation"
 
 
 def test_corpus_has_no_stray_files():

@@ -62,6 +62,23 @@ class TestBoundaryOperator:
                 assert not chain_boundary(chain_boundary(z))
 
 
+    def test_relative_boundaries_have_zero_coordinates(self):
+        """Boundaries are cycles rel A with zero class: the kernel
+        coordinates of the incoming boundary never form the rows above the
+        outgoing rank, because they vanish."""
+        rng = random.Random(19)
+        for _ in range(15):
+            K = random_complex(rng, n_vertices=8, n_generators=6, max_dim=3)
+            A = random_subcomplex(rng, K)
+            H = homology(K, A)
+            for k in range(0, K.dim):
+                for s in K.simplices_of_dim(k + 1):
+                    if s in A.simplices:
+                        continue
+                    c = H.coordinates(chain_boundary(IntChain(k + 1, {s: 1})))
+                    assert not any(c.free) and not any(c.torsion), (K, A, s)
+
+
 class TestSmithTransforms:
     def test_transforms_are_exact_inverses(self):
         rng = random.Random(5)

@@ -7,6 +7,7 @@ import pytest
 from circuitsmith import (
     BordismData,
     GammaGroupTable,
+    OrientationAssignment,
     RelativeCircuitData,
     Simplex,
     SimplicialComplex,
@@ -117,6 +118,23 @@ class TestPsi:
             psi(data, SimplicialMap.identity(projective_plane), target)
         assert err.value.stage == "orientation"
         assert err.value.witnesses
+
+    @pytest.mark.parametrize(
+        "signs",
+        [
+            {Simplex((0, 1, 2)): 7},
+            {Simplex((0, 1, 2)): 1, Simplex((7, 8, 9)): 1},
+            {Simplex((0, 1, 2)): 1, Simplex((0, 1)): -1},
+            {},
+        ],
+        ids=["sign-seven", "foreign-simplex", "lower-simplex", "no-signs"],
+    )
+    def test_given_orientation_checked_at_orientation(self, disk_pair, signs):
+        target = TargetPair(disk_pair.L, disk_pair.K)
+        with pytest.raises(PipelineError) as err:
+            psi(disk_pair, SimplicialMap.identity(disk_pair.L), target,
+                orientation=OrientationAssignment(signs, True))
+        assert err.value.stage == "orientation"
 
     def test_refusing_gamma_table_aborts_at_obstruction(self, disk_pair):
         class RefusingTable(GammaGroupTable):

@@ -67,3 +67,46 @@ def test_private_helpers_have_callers():
     }
     helpers = set().union(*(_private_helpers(tree) for tree in trees))
     assert sorted(helpers - named) == []
+
+
+# An InternalInvariantError raised where no caller input can break the
+# invariant re-proves a theorem of the construction on every call; such
+# theorems are asserted by the test suite instead.  Each site kept here
+# checks something a caller controls, or is a limit law whose record the
+# CLI reports under --check.
+INVARIANT_SITES = {
+    ("circuits", "SingularSet.__post_init__"),  # a singular set built directly
+    ("homology", "fundamental_class"),  # a given orientation
+    ("homology", "induced_boundary_orientation"),  # a given orientation
+    ("obstructions", "cw_dimension_bound"),  # the host dimensions passed in
+    ("limits", "equal_at_infinity"),
+    ("limits", "compose"),
+    ("limits", "product"),
+    ("limits", "restrict_closed"),
+    ("limits", "union_restriction_law"),
+    ("limits", "preimage_restrict"),
+}
+
+
+def _invariant_sites(path):
+    """(module, qualified function) for every ``raise InternalInvariantError``."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "InternalInvariantError":
+                    sites.add((path.stem, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return sites
+
+
+def test_internal_invariant_sites():
+    sites = set().union(*(_invariant_sites(p) for p in FILES if p.suffix == ".py"))
+    assert sorted(sites) == sorted(INVARIANT_SITES)
