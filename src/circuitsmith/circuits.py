@@ -23,7 +23,6 @@ from .complexes import (
     build_complex,
     product_complex,
     relabel,
-    skeleton,
     star,
     subdivision_prism,
 )
@@ -59,9 +58,6 @@ class RelativeCircuitData:
     @property
     def is_closed_circuit(self) -> bool:
         return not self.K.simplices
-
-    def manifold_part(self) -> OpenSimplexSet:
-        return OpenSimplexSet(self.L, self.L.simplices - self.S.simplices)
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,6 @@ def default_singular_set(L: SimplicialComplex, K: SimplicialComplex, k: int) -> 
             bad.add(s)
         elif c is PointClass.INTERIOR_MANIFOLD and s in K.simplices:
             bad.add(s)
-    if not bad:
-        return SimplicialComplex.empty()
     return SimplicialComplex.from_simplices(bad)
 
 
@@ -185,30 +179,16 @@ def _verify_circuit_checks(data: RelativeCircuitData, prefix: str = "") -> list[
     if s_bad or impure:
         return checks
 
-    region = region_is_pl_manifold(data.manifold_part(), k)
-    checks.append(
-        CheckResult(
-            prefix + "manifold-complement",
-            region.verdict is not RegionVerdict.NO,
-            (region.witness,) if region.witness is not None else (),
-            "complement of the singular set must be a PL manifold",
-            unknown=region.verdict is RegionVerdict.UNKNOWN,
-        )
-    )
-    expected_boundary = K.simplices - S.simplices
-    mismatch = region.boundary ^ expected_boundary
-    checks.append(
-        CheckResult(
+    checks += _region_checks(
+        L, S.simplices, k, K.simplices,
+        (prefix + "manifold-complement", "complement of the singular set must be a PL manifold"),
+        (
             prefix + "boundary-match",
-            not mismatch,
-            _sorted_witnesses(mismatch),
             "manifold boundary must be exactly the designated boundary minus the singular set",
-        )
+        ),
     )
-
     sub = RelativeCircuitData(K, SimplicialComplex.empty(), k - 1, S.intersection(K))
-    sub_checks = _verify_circuit_checks(sub, prefix=prefix + "boundary/")
-    checks.extend(sub_checks)
+    checks += _verify_circuit_checks(sub, prefix=prefix + "boundary/")
     return checks
 
 
@@ -331,115 +311,90 @@ class SingularSet:
         return self.complex.simplices
 
 
-def singular_set(case: str, data: RelativeCircuitData | BordismData) -> SingularSet:
-    """The case-specific singular set whose complement is a PL manifold.
+def _case(
+    case: str, data: RelativeCircuitData | BordismData
+) -> tuple[SimplicialComplex, SimplicialComplex, int, int]:
+    """The host complex, its designated boundary, the ambient dimension n and
+    the skeleton cutoff r of a singular-set case.
 
-    Case a: skeleton two below the top of an absolute circuit.
-    Case b: low skeleton of a relative circuit minus the boundary's
-            codimension-two simplices.
-    Case c: low skeleton of a bordism minus boundary codimension-two
-            simplices and the star of the circuit-boundary skeleton.
+    Case a is an absolute k-circuit (n = k, r = n - 2), case b a relative
+    k-circuit (n = k, r = n - 3) and case c a nullbordism of a k-circuit
+    (n = k + 1, r = n - 4).  The singular set holds the whole r-skeleton,
+    and its complement retracts onto a complex of dimension at most n - r - 1.
     """
-    if case == "a":
-        if not isinstance(data, RelativeCircuitData):
-            raise StructureError("case a expects an absolute circuit")
-        if data.K.simplices:
-            raise StructureError("case a expects an absolute circuit (empty boundary)")
-        sigma = skeleton(data.L, data.k - 2)
-        return SingularSet("a", sigma, data.k)
-    if case == "b":
-        if not isinstance(data, RelativeCircuitData):
-            raise StructureError("case b expects a relative circuit")
-        members = {
-            s
-            for s in data.L.simplices
-            if s.dim <= data.k - 2 and not (s.dim == data.k - 2 and s in data.K.simplices)
-        }
-        return SingularSet("b", SimplicialComplex(frozenset(members)), data.k)
     if case == "c":
         if not isinstance(data, BordismData):
             raise StructureError("case c expects bordism data")
-        k = data.k
-        boundary_skel = {s for s in data.K.simplices if s.dim == k - 2}
-        starred = star(OpenSimplexSet.of(data.N, boundary_skel), data.N).members
-        members = {
-            s
-            for s in data.N.simplices
-            if s.dim <= k - 1
-            and not (s.dim == k - 1 and s in data.M.simplices)
-            and s not in starred
-        }
-        return SingularSet("c", SimplicialComplex(frozenset(members)), k + 1)
-    raise StructureError(f"unknown case {case!r}")
+        return data.N, data.M, data.k + 1, data.k - 3
+    if case not in ("a", "b"):
+        raise StructureError(f"unknown case {case!r}")
+    if not isinstance(data, RelativeCircuitData):
+        raise StructureError(f"case {case} expects circuit data")
+    if case == "a" and data.K.simplices:
+        raise StructureError("case a expects an absolute circuit (empty boundary)")
+    return data.L, data.K, data.k, (data.k - 2 if case == "a" else data.k - 3)
 
 
-@dataclass(frozen=True)
-class ManifoldComplementVerdict:
-    checks: tuple[CheckResult, ...]
-
-    @cached_property
-    def unknown(self) -> bool:
-        return any(c.unknown for c in self.checks)
-
-    @cached_property
-    def valid(self) -> bool:
-        return all(c.passed for c in self.checks) and not self.unknown
+def singular_set(case: str, data: RelativeCircuitData | BordismData) -> SingularSet:
+    """The case-specific singular set whose complement is a PL manifold: the
+    (n-2)-skeleton of the host minus the boundary's (n-2)-simplices, and in
+    case c also minus the star of the circuit boundary's (k-2)-simplices."""
+    host, boundary, n, _ = _case(case, data)
+    members = {
+        s
+        for s in host.simplices
+        if s.dim < n - 2 or (s.dim == n - 2 and s not in boundary.simplices)
+    }
+    if case == "c":
+        edge = OpenSimplexSet.of(host, (s for s in data.K.simplices if s.dim == data.k - 2))
+        members -= star(edge, host).members
+    return SingularSet(case, SimplicialComplex(frozenset(members)), n)
 
 
 def _region_checks(
-    name: str,
     host: SimplicialComplex,
-    sigma_members: frozenset[Simplex],
+    removed: frozenset[Simplex],
     dim: int,
-    expected_boundary: frozenset[Simplex],
+    boundary: frozenset[Simplex],
+    region_check: tuple[str, str],
+    boundary_check: tuple[str, str],
 ) -> list[CheckResult]:
-    U = OpenSimplexSet(host, host.simplices - sigma_members)
-    region = region_is_pl_manifold(U, dim)
-    out = [
+    """Two checks, each given as (name, detail): the host minus ``removed`` is
+    a PL dim-manifold, and its manifold boundary is ``boundary`` minus
+    ``removed``."""
+    region = region_is_pl_manifold(OpenSimplexSet(host, host.simplices - removed), dim)
+    mismatch = region.boundary ^ (boundary - removed)
+    return [
         CheckResult(
-            name,
+            region_check[0],
             region.verdict is not RegionVerdict.NO,
             (region.witness,) if region.witness is not None else (),
-            f"complement must be a PL {dim}-manifold",
+            region_check[1],
             unknown=region.verdict is RegionVerdict.UNKNOWN,
-        )
+        ),
+        CheckResult(boundary_check[0], not mismatch, _sorted_witnesses(mismatch), boundary_check[1]),
     ]
-    mismatch = region.boundary ^ expected_boundary
-    out.append(
-        CheckResult(
-            name + "-boundary",
-            not mismatch,
-            _sorted_witnesses(mismatch),
-            "manifold boundary must match",
-        )
-    )
-    return out
 
 
 def verify_manifold_complement(
     case: str, data: RelativeCircuitData | BordismData, sigma: SingularSet
-) -> ManifoldComplementVerdict:
+) -> CircuitVerdict:
     """Confirm that the complement of the singular set is a manifold with the
     predicted boundary, entirely through link analysis."""
     if sigma.case != case:
         raise StructureError("singular set was built for a different case")
-    checks: list[CheckResult] = []
+    host, boundary, n, _ = _case(case, data)
     members = sigma.members()
-    if case == "a":
-        assert isinstance(data, RelativeCircuitData)
-        checks.extend(_region_checks("complement", data.L, members, data.k, frozenset()))
-    elif case == "b":
-        assert isinstance(data, RelativeCircuitData)
-        expected = data.K.simplices - members
-        checks.extend(_region_checks("complement", data.L, members, data.k, expected))
-    elif case == "c":
-        assert isinstance(data, BordismData)
-        expected = data.M.simplices - members
-        checks.extend(_region_checks("complement", data.N, members, data.k + 1, expected))
-        inner = members & data.L.simplices
-        expected_q = data.K.simplices - members
-        checks.extend(
-            _region_checks("designated-circuit", data.L, frozenset(inner), data.k, expected_q)
+    checks = _region_checks(
+        host, members, n, boundary.simplices,
+        ("complement", f"complement must be a PL {n}-manifold"),
+        ("complement-boundary", "manifold boundary must match"),
+    )
+    if case == "c":
+        checks += _region_checks(
+            data.L, members, data.k, data.K.simplices,
+            ("designated-circuit", f"complement must be a PL {data.k}-manifold"),
+            ("designated-circuit-boundary", "manifold boundary must match"),
         )
         checks.append(
             CheckResult(
@@ -449,27 +404,20 @@ def verify_manifold_complement(
                 "the designated circuit must sit inside the bordism boundary",
             )
         )
-    else:
-        raise StructureError(f"unknown case {case!r}")
-    return ManifoldComplementVerdict(tuple(checks))
+    return CircuitVerdict(tuple(checks))
 
 
 def skeleton_complement_inclusions(
     case: str, data: RelativeCircuitData | BordismData, sigma: SingularSet
 ) -> bool:
     """The manifold part lies in the complement of a low skeleton: every
-    simplex of dimension at most (ambient - 3) belongs to the singular set."""
-    if case == "a":
-        assert isinstance(data, RelativeCircuitData)
-        host, cutoff = data.L, data.k - 2
-    elif case == "b":
-        assert isinstance(data, RelativeCircuitData)
-        host, cutoff = data.L, data.k - 3
-    else:
-        assert isinstance(data, BordismData)
-        host, cutoff = data.N, data.k - 3
+    simplex of dimension at most the case cutoff r belongs to the singular
+    set."""
+    if sigma.case != case:
+        raise StructureError("singular set was built for a different case")
+    host, _, _, r = _case(case, data)
     members = sigma.members()
-    return all(s in members for s in host.simplices if s.dim <= cutoff)
+    return all(s in members for s in host.simplices if s.dim <= r)
 
 
 @dataclass(frozen=True)
@@ -567,11 +515,7 @@ def glue(
 
     interface = interface_a.simplices
     boundary_members = (A.K.simplices - interface) | (right_K.simplices - interface)
-    K_new = (
-        SimplicialComplex.from_simplices(boundary_members)
-        if boundary_members
-        else SimplicialComplex.empty()
-    )
+    K_new = SimplicialComplex.from_simplices(boundary_members)
     S_new = A.S.union(right_S)
 
     data = RelativeCircuitData(L_new, K_new, A.k, S_new)
@@ -637,11 +581,7 @@ def self_glue(
         for s in A.K.simplices
         if s not in identified
     }
-    K_new = (
-        SimplicialComplex.from_simplices(boundary_members)
-        if boundary_members
-        else SimplicialComplex.empty()
-    )
+    K_new = SimplicialComplex.from_simplices(boundary_members)
     S_new = SimplicialComplex(
         frozenset(Simplex.of(q[v] for v in s.vertices) for s in A.S.simplices)
     )

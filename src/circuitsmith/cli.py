@@ -43,9 +43,13 @@ def _load(path: str) -> dict:
 
 
 def _emit(payload: dict, out: str | None = None) -> None:
+    """Print the report, after writing it to the file at ``out`` if given."""
     text = dumps(payload)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise MalformedInputError(f"cannot write {out}: {exc}")
     sys.stdout.write(text)
 
 

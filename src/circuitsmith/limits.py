@@ -132,10 +132,7 @@ def equal_at_infinity(f: CompactifiedMap, h: CompactifiedMap) -> bool:
 def closure_of_image(f: CompactifiedMap) -> SimplicialComplex:
     """Closure, in the target compactification, of the image of the
     represented space."""
-    images = {f.apply(s) for s in f.domain.interior_simplices}
-    if not images:
-        return SimplicialComplex.empty()
-    return SimplicialComplex.from_simplices(images)
+    return SimplicialComplex.from_simplices(f.apply(s) for s in f.domain.interior_simplices)
 
 
 def is_surjective(f: CompactifiedMap) -> bool:
@@ -310,17 +307,10 @@ def restrict_closed(f: CompactifiedMap, W1: SimplicialComplex) -> RestrictionRes
     if not W1.is_subcomplex_of(f.domain.W):
         raise StructureError("restriction needs a subcomplex of the domain compactification")
     interior = [s for s in W1.simplices if s not in f.domain.S.simplices]
-    if interior:
-        W1_dense = SimplicialComplex.from_simplices(interior)
-    else:
-        W1_dense = SimplicialComplex.empty()
+    W1_dense = SimplicialComplex.from_simplices(interior)
     S1 = SimplicialComplex(frozenset(W1_dense.simplices & f.domain.S.simplices))
     dom = PuncturedComplex(W1_dense, S1)
-    if W1_dense.simplices:
-        g1 = f.g.restrict(W1_dense)
-    else:
-        g1 = SimplicialMap.from_dict(W1_dense, f.target.W, {})
-    rmap = CompactifiedMap(dom, f.target, g1)
+    rmap = CompactifiedMap(dom, f.target, f.g.restrict(W1_dense))
     inclusion = limit_set(rmap).members() <= limit_set(f).members()
     dim_ok = limit_set(rmap).limit_dimension <= limit_set(f).limit_dimension
     if not inclusion or not dim_ok:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .circuits import BordismData, RelativeCircuitData
+from .circuits import BordismData, RelativeCircuitData, _case
 from .complexes import (
     SimplicialComplex,
     SubdivisionResult,
@@ -92,9 +92,6 @@ class ObstructionReport:
     gamma_groups: tuple[str, ...] = ()
 
 
-_CASE_BOUNDS = {"a": 1, "b": 2, "c": 3}
-
-
 def cw_dimension_bound(
     case: str,
     data: RelativeCircuitData | BordismData,
@@ -102,6 +99,10 @@ def cw_dimension_bound(
 ) -> ObstructionReport:
     """CW dimension bound for the complement of the case singular set, plus
     the consulted obstruction groups.
+
+    The complement retracts onto the dual complex above the r-skeleton of
+    the n-dimensional host, so the bound is n - r - 1: 1, 2 and 3 for cases
+    a, b and c.
 
     Existence obstructions live one dimension below the cohomology degree
     and uniqueness obstructions at the degree, so a bound of b consults the
@@ -114,19 +115,8 @@ def cw_dimension_bound(
     ``dual-complex`` subcommand.
     """
     table = table or GammaGroupTable.standard()
-    if case not in _CASE_BOUNDS:
-        raise StructureError(f"unknown case {case!r}")
-    bound = _CASE_BOUNDS[case]
-    if case in ("a", "b"):
-        if not isinstance(data, RelativeCircuitData):
-            raise StructureError(f"case {case} expects circuit data")
-        host = data.L
-        r = data.k - 2 if case == "a" else data.k - 3
-    else:
-        if not isinstance(data, BordismData):
-            raise StructureError("case c expects bordism data")
-        host = data.N
-        r = data.k - 3
+    host, _, n, r = _case(case, data)
+    bound = n - r - 1
     if host.simplices and 0 <= r <= host.dim:
         witness_dim = host.dim - r - 1
     else:
@@ -137,6 +127,6 @@ def cw_dimension_bound(
             f"case {case} witness dimension {witness_dim} exceeds the bound {bound}"
         )
     required = tuple(range(0, bound + 1))
-    groups = tuple(table.describe(n) for n in required)
-    all_vanish = all(table.is_trivial(n) for n in required)
+    groups = tuple(table.describe(d) for d in required)
+    all_vanish = all(table.is_trivial(d) for d in required)
     return ObstructionReport(case, bound, required, all_vanish, witness_dim, groups)

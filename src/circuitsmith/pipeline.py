@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .circuits import (
     BordismData,
     CircuitVerdict,
-    ManifoldComplementVerdict,
     RelativeCircuitData,
     SingularSet,
     singular_set,
@@ -72,7 +71,7 @@ class PseudocycleCertificate:
     k: int
     circuit_verdict: CircuitVerdict
     sigma: SingularSet
-    complement_verdict: ManifoldComplementVerdict
+    complement_verdict: CircuitVerdict
     orientation: OrientationAssignment
     fundamental: IntChain
     homology_coordinates: Coordinates
@@ -95,6 +94,23 @@ class PseudocycleCertificate:
 
 def _fail(stage: str, message: str, witnesses=(), unknown: bool = False) -> PipelineError:
     return PipelineError(stage, message, witnesses, unknown)
+
+
+def _singular_set_stage(
+    case: str, data: RelativeCircuitData | BordismData
+) -> tuple[SingularSet, CircuitVerdict]:
+    """The case singular set and the verdict on its complement; a complement
+    that fails its manifold checks fails the ``manifold-complement`` stage."""
+    sigma = singular_set(case, data)
+    complement = verify_manifold_complement(case, data, sigma)
+    if not complement.valid:
+        raise _fail(
+            "manifold-complement",
+            "complement of the singular set failed manifold checks",
+            tuple(w for c in complement.checks for w in c.witnesses),
+            unknown=complement.unknown,
+        )
+    return sigma, complement
 
 
 def _carrier(a: SimplicialMap, punctures: SimplicialComplex) -> OpenSimplexSet:
@@ -137,16 +153,7 @@ def psi(
             unknown=verdict.unknown,
         )
 
-    sigma = singular_set("b", circuit)
-    complement = verify_manifold_complement("b", circuit, sigma)
-    if not complement.valid:
-        witnesses = tuple(w for c in complement.checks for w in c.witnesses)
-        raise _fail(
-            "manifold-complement",
-            "complement of the singular set failed manifold checks",
-            witnesses,
-            unknown=complement.unknown,
-        )
+    sigma, complement = _singular_set_stage("b", circuit)
 
     if orientation is None:
         orientation = orient_circuit(circuit)
@@ -219,7 +226,7 @@ class BordismCertificate:
     k: int
     nullbordism_verdict: CircuitVerdict
     sigma: SingularSet
-    complement_verdict: ManifoldComplementVerdict
+    complement_verdict: CircuitVerdict
     limit_carrier: OpenSimplexSet
     side_limit_carrier: OpenSimplexSet
     bound_main: DimensionBound
@@ -267,16 +274,7 @@ def verify_bordism_certificate(
             unknown=verdict.unknown,
         )
 
-    sigma = singular_set("c", R)
-    complement = verify_manifold_complement("c", R, sigma)
-    if not complement.valid:
-        witnesses = tuple(w for c in complement.checks for w in c.witnesses)
-        raise _fail(
-            "manifold-complement",
-            "complement of the singular set failed manifold checks",
-            witnesses,
-            unknown=complement.unknown,
-        )
+    sigma, complement = _singular_set_stage("c", R)
 
     limit_carrier = _carrier(d_map, sigma.complex)
     side = SimplicialComplex.from_simplices(R.M.simplices - R.L.simplices)

@@ -13,7 +13,6 @@ from .circuits import (
     BordismData,
     CheckResult,
     CircuitVerdict,
-    ManifoldComplementVerdict,
     RelativeCircuitData,
     SingularSet,
 )
@@ -103,8 +102,6 @@ def subcomplex_from_json(payload, host: SimplicialComplex) -> SimplicialComplex:
     for s in simplices:
         if s not in host.simplices:
             raise MalformedInputError(f"{s} is not a simplex of the host complex")
-    if not simplices:
-        return SimplicialComplex.empty()
     return SimplicialComplex.from_simplices(simplices)
 
 
@@ -261,7 +258,7 @@ def check_to_json(c: CheckResult) -> dict:
     }
 
 
-def verdict_to_json(v: CircuitVerdict | ManifoldComplementVerdict) -> dict:
+def verdict_to_json(v: CircuitVerdict) -> dict:
     return {
         "valid": v.valid,
         "unknown": v.unknown,

@@ -11,6 +11,7 @@ from circuitsmith import (
     boundary_circuit,
     build_complex,
     complex_isomorphism,
+    cw_dimension_bound,
     cylinder,
     default_singular_set,
     disjoint_union_circuits,
@@ -241,6 +242,52 @@ class TestManifoldComplement:
         R = BordismData(solid, tetra_boundary, tetra_boundary,
                         SimplicialComplex.empty(), 2, SimplicialComplex.empty())
         assert skeleton_complement_inclusions("c", R, singular_set("c", R))
+
+
+class TestCaseErrors:
+    """Each singular-set case takes one kind of data; anything else is a
+    StructureError from every function that reads the case."""
+
+    @pytest.fixture
+    def solid_bordism(self, tetra_boundary):
+        empty = SimplicialComplex.empty()
+        return BordismData(build_complex([[0, 1, 2, 3]]), tetra_boundary, tetra_boundary, empty, 2, empty)
+
+    @pytest.mark.parametrize(
+        "case, right, wrong",
+        [
+            ("a", "sphere_circuit", "solid_bordism"),
+            ("a", "sphere_circuit", "disk_pair"),  # a relative circuit
+            ("b", "sphere_circuit", "solid_bordism"),
+            ("c", "solid_bordism", "sphere_circuit"),
+        ],
+    )
+    def test_wrong_data_rejected(self, request, case, right, wrong):
+        sigma = singular_set(case, request.getfixturevalue(right))
+        wrong = request.getfixturevalue(wrong)
+        for call in (
+            lambda: singular_set(case, wrong),
+            lambda: verify_manifold_complement(case, wrong, sigma),
+            lambda: skeleton_complement_inclusions(case, wrong, sigma),
+            lambda: cw_dimension_bound(case, wrong),
+        ):
+            with pytest.raises(StructureError):
+                call()
+
+    def test_singular_set_of_another_case_rejected(self, sphere_circuit):
+        sigma_b = singular_set("b", sphere_circuit)
+        with pytest.raises(StructureError):
+            skeleton_complement_inclusions("a", sphere_circuit, sigma_b)
+        with pytest.raises(StructureError):
+            verify_manifold_complement("a", sphere_circuit, sigma_b)
+
+    def test_unknown_case_rejected(self, sphere_circuit):
+        for call in (
+            lambda: singular_set("d", sphere_circuit),
+            lambda: cw_dimension_bound("d", sphere_circuit),
+        ):
+            with pytest.raises(StructureError):
+                call()
 
 
 class TestGlue:

@@ -234,6 +234,24 @@ class TestObjectLoaders:
             (tmp_path / f"{bad}.json").write_text(text)
         TestHomologyLoader.assert_json_error(capsys, [paths.get(a, a) for a in argv])
 
+    WITH_OUT = {
+        "psi": ["psi", "circuit", "map", "target"],
+        "check-bordism": ["check-bordism", "bordism", "bmap", "btarget"],
+        "glue": ["glue", "circuit", "circuit2", "--iso", "iso"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(WITH_OUT))
+    def test_unwritable_out(self, capsys, tmp_path, case):
+        paths = self.files(tmp_path, "cert", None)
+        argv = [paths.get(a, a) for a in self.WITH_OUT[case]]
+        out = str(tmp_path / "missing" / "report.json")
+        code = main(argv + ["--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["valid"] is False
+        assert f"cannot write {out}" in report["error"]
+        assert main(argv) == 0  # the inputs themselves are fine
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "name, payload",
         [

@@ -110,3 +110,15 @@ def _invariant_sites(path):
 def test_internal_invariant_sites():
     sites = set().union(*(_invariant_sites(p) for p in FILES if p.suffix == ".py"))
     assert sorted(sites) == sorted(INVARIANT_SITES)
+
+
+def _assert_lines(path):
+    """Line numbers of the ``assert`` statements in one source file."""
+    return [n.lineno for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Assert)]
+
+
+def test_no_assert_statements():
+    # ``python -O`` strips assert statements, so a check written as one
+    # vanishes; the package raises typed errors instead.
+    found = {p.name: _assert_lines(p) for p in FILES if p.suffix == ".py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
