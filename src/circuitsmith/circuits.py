@@ -290,9 +290,9 @@ class SingularSet:
     def __post_init__(self) -> None:
         if self.case not in ("a", "b", "c"):
             raise StructureError(f"unknown singular-set case {self.case!r}")
-        # Face-closedness is enforced by SimplicialComplex; the codimension
-        # bound is a theorem that must be confirmed, not assumed.
-        if self.complex.dim > self.ambient_dim - 2:
+        # The codimension bound is a theorem that must be confirmed, not
+        # assumed; the empty set meets it in every ambient dimension.
+        if self.complex.simplices and self.complex.dim > self.ambient_dim - 2:
             raise InternalInvariantError(
                 f"singular set has dimension {self.complex.dim}, ambient is {self.ambient_dim}"
             )

@@ -88,14 +88,7 @@ def chain_boundary(z: IntChain) -> IntChain:
 
 def boundary_operator(K: SimplicialComplex, k: int) -> Matrix:
     """Matrix of the degree-k boundary over the canonical simplex order."""
-    rows = K.simplices_of_dim(k - 1)
-    cols = K.simplices_of_dim(k)
-    index = {s: i for i, s in enumerate(rows)}
-    mat = zeros(len(rows), len(cols))
-    for j, s in enumerate(cols):
-        for i, f in enumerate(s.facets()):
-            mat[index[f]][j] = (-1) ** i
-    return mat
+    return HomologyResult(K)._boundary_matrix(k)
 
 
 @dataclass(frozen=True)
@@ -112,12 +105,10 @@ class Coordinates:
 class _DegreeData:
     """The eliminations behind coordinates and generators in one degree."""
 
-    degree: int
     basis: tuple[Simplex, ...]
-    rank_boundary_in: int          # rank of the incoming boundary (degree+1)
     rank_boundary_out: int         # rank of the outgoing boundary (degree)
-    diagonal: tuple[int, ...]      # invariant factors of the incoming boundary
-    torsion: tuple[int, ...]
+    diagonal: tuple[int, ...]      # nonzero invariant factors of the incoming
+                                   # boundary, as many as its rank
     q: Matrix                      # column transform of the outgoing boundary
     qinv: Matrix
     p2: Matrix                     # row transform of the kernel-coordinate matrix
@@ -127,9 +118,11 @@ class _DegreeData:
 class HomologyResult:
     """Integer homology of a pair with torsion, generators and coordinates.
 
-    Betti numbers and torsion come from the invariant factors of each
-    relative boundary matrix alone.  The transforms that coordinates and
-    generators need are built per degree on first use.
+    Nothing is eliminated up front.  The Betti number and torsion of degree
+    k come from the invariant factors of the relative boundary matrices into
+    and out of degree k; coordinates and generators come from the tracked
+    eliminations of their degree.  Each elimination runs on first use and is
+    kept.
     """
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex | None = None):
@@ -139,38 +132,36 @@ class HomologyResult:
         self.K = K
         self.A = A
         self._degrees: dict[int, _DegreeData] = {}
+        self._diagonals: dict[int, tuple[list[int], int]] = {}
         self._bases: dict[int, tuple[Simplex, ...]] = {}
         for d in range(0, K.dim + 1):
             self._bases[d] = tuple(
                 s for s in K.simplices_of_dim(d) if s not in A.simplices
             )
-        # Each basis simplex's relative boundary as (row, sign) pairs, by degree.
-        self._columns: dict[int, list[list[tuple[int, int]]]] = {}
-        for k in range(1, K.dim + 1):
-            index = {s: i for i, s in enumerate(self._bases[k - 1])}
-            self._columns[k] = [
-                [(index[f], (-1) ** i) for i, f in enumerate(s.facets()) if f in index]
-                for s in self._bases[k]
-            ]
-        # ranks[k] and factors[k] describe the boundary from degree k to k-1.
-        ranks = [0] * (K.dim + 2)
-        factors: list[list[int]] = [[] for _ in range(K.dim + 2)]
-        for k in range(1, K.dim + 1):
-            factors[k], ranks[k] = smith_diagonal(self._boundary_matrix(k), len(self._bases[k]))
-        self._betti = {
-            k: len(self._bases[k]) - ranks[k] - ranks[k + 1] for k in range(0, K.dim + 1)
-        }
-        self._torsion = {
-            k: tuple(d for d in factors[k + 1] if d > 1) for k in range(0, K.dim + 1)
-        }
+
+    def _columns(self, k: int) -> list[list[tuple[int, int]]]:
+        """Each degree-k basis simplex's relative boundary as (row, sign) pairs."""
+        index = {s: i for i, s in enumerate(self._bases.get(k - 1, ()))}
+        return [
+            [(index[f], (-1) ** i) for i, f in enumerate(s.facets()) if f in index]
+            for s in self._bases.get(k, ())
+        ]
 
     def _boundary_matrix(self, k: int) -> Matrix:
         """The dense relative boundary matrix from degree k to k-1."""
         mat = zeros(len(self._bases.get(k - 1, ())), len(self._bases.get(k, ())))
-        for j, column in enumerate(self._columns.get(k, ())):
+        for j, column in enumerate(self._columns(k)):
             for r, sign in column:
                 mat[r][j] = sign
         return mat
+
+    def _smith_diagonal(self, k: int) -> tuple[list[int], int]:
+        """Invariant factors and rank of the boundary from degree k to k-1."""
+        out = self._diagonals.get(k)
+        if out is None:
+            cols = len(self._bases.get(k, ()))
+            out = self._diagonals[k] = smith_diagonal(self._boundary_matrix(k), cols)
+        return out
 
     def _degree(self, k: int) -> _DegreeData | None:
         if k not in self._bases:
@@ -187,14 +178,10 @@ class HomologyResult:
         del snf_out  # its row transforms are unused; free them before the next elimination
         m = self._kernel_coordinates(k, qinv, r_out)
         snf_in = smith_normal_form(m, cols=len(self._bases.get(k + 1, ())))
-        diagonal = tuple(d for d in snf_in.diagonal if d)
         return _DegreeData(
-            degree=k,
             basis=basis,
-            rank_boundary_in=snf_in.rank,
             rank_boundary_out=r_out,
-            diagonal=diagonal,
-            torsion=tuple(d for d in diagonal if d > 1),
+            diagonal=tuple(d for d in snf_in.diagonal if d),
             q=q,
             qinv=qinv,
             p2=snf_in.P,
@@ -208,7 +195,7 @@ class HomologyResult:
         n = len(qinv)
         kernel_columns = [column[r_out:] for column in zip(*qinv)]
         u = []
-        for column in self._columns.get(k + 1, ()):
+        for column in self._columns(k + 1):
             col = [0] * (n - r_out)
             for r, sign in column:
                 col = [x + y if sign > 0 else x - y for x, y in zip(col, kernel_columns[r])]
@@ -216,10 +203,14 @@ class HomologyResult:
         return [list(row) for row in zip(*u)] if u else [[] for _ in range(r_out, n)]
 
     def betti(self, k: int) -> int:
-        return self._betti.get(k, 0)
+        if k not in self._bases:
+            return 0
+        return len(self._bases[k]) - self._smith_diagonal(k)[1] - self._smith_diagonal(k + 1)[1]
 
     def torsion(self, k: int) -> tuple[int, ...]:
-        return self._torsion.get(k, ())
+        if k not in self._bases:
+            return ()
+        return tuple(d for d in self._smith_diagonal(k + 1)[0] if d > 1)
 
     def betti_numbers(self) -> tuple[int, ...]:
         return tuple(self.betti(k) for k in range(0, max(self.K.dim, 0) + 1))
@@ -254,14 +245,9 @@ class HomologyResult:
                 raise ContractError("chain is not a relative cycle")
         kappa = u[data.rank_boundary_out :]
         w = mat_vec(data.p2, kappa)
-        s = data.rank_boundary_in
-        torsion_orders = data.torsion
-        torsion_coords = []
-        for i, d in enumerate(data.diagonal):
-            if d > 1:
-                torsion_coords.append(w[i] % d)
-        free = tuple(w[s:])
-        return Coordinates(k, free, tuple(torsion_coords), torsion_orders)
+        residues = tuple(w[i] % d for i, d in enumerate(data.diagonal) if d > 1)
+        orders = tuple(d for d in data.diagonal if d > 1)
+        return Coordinates(k, tuple(w[len(data.diagonal) :]), residues, orders)
 
     def _kernel_chain(self, k: int, kappa_index: int) -> IntChain:
         data = self._degree(k)
@@ -279,9 +265,8 @@ class HomologyResult:
         data = self._degree(k)
         if data is None:
             return []
-        s = data.rank_boundary_in
         kernel_dim = len(data.basis) - data.rank_boundary_out
-        return [self._kernel_chain(k, j) for j in range(s, kernel_dim)]
+        return [self._kernel_chain(k, j) for j in range(len(data.diagonal), kernel_dim)]
 
     def torsion_generators(self, k: int) -> list[IntChain]:
         data = self._degree(k)

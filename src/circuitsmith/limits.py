@@ -121,12 +121,7 @@ def equal_at_infinity(f: CompactifiedMap, h: CompactifiedMap) -> bool:
     set, by affineness).  Equal-at-infinity maps have equal limit sets."""
     if not f.domain.same_as(h.domain) or not f.target.same_as(h.target):
         raise StructureError("equality at infinity needs a common domain and target")
-    agree = all(
-        f.g.apply_vertex(v) == h.g.apply_vertex(v) for v in f.domain.S.vertices
-    )
-    if agree and limit_set(f).members() != limit_set(h).members():
-        raise InternalInvariantError("equal at infinity but limit sets differ")
-    return agree
+    return all(f.g.apply_vertex(v) == h.g.apply_vertex(v) for v in f.domain.S.vertices)
 
 
 def closure_of_image(f: CompactifiedMap) -> SimplicialComplex:
@@ -166,26 +161,13 @@ def compose(f: CompactifiedMap, h: CompactifiedMap) -> CompositionResult:
     """Composite map with the sandwich laws checked on the nose."""
     if not f.target.same_as(h.domain):
         raise StructureError("composition needs matching middle punctured complexes")
-    new_punctures = {
-        s
-        for s in f.domain.W.simplices
-        if s in f.domain.S.simplices or f.apply(s) in h.domain.S.simplices
-    }
-    if new_punctures != set(f.domain.S.simplices):
-        raise InternalInvariantError(
-            "interior simplices of a compactified map cannot hit middle punctures"
-        )
     g = f.g.compose(h.g)
     composite = CompactifiedMap(f.domain, h.target, g)
 
     inner = limit_set(f).members()
-    inner_image = frozenset(
-        h.apply(s) for s in inner if h.apply(s) not in h.target.S.simplices
-    )
     # Carriers avoid punctures, and the outer map sends interior to interior,
     # so the image of the inner limit set stays inside the target space.
-    if len(inner_image) != len({h.apply(s) for s in inner}):
-        raise InternalInvariantError("image of a limit carrier left the target space")
+    inner_image = frozenset(h.apply(s) for s in inner)
     comp_members = limit_set(composite).members()
     outer = limit_set(h).members()
     lower = inner_image <= comp_members

@@ -95,6 +95,13 @@ class TestSigma:
         code, payload = run(capsys, ["sigma", "--case", "b", disk_circuit_file])
         assert code == 0 and payload["simplices"] == []
 
+    @pytest.mark.parametrize("case", ["a", "b"])
+    def test_zero_circuit_has_empty_singular_set(self, capsys, tmp_path, case):
+        points = write(tmp_path, "points.json", {"maximal": [[0], [1]], "k": 0})
+        code, payload = run(capsys, ["sigma", "--case", case, points])
+        assert code == 0
+        assert payload["simplices"] == [] and payload["ambient_dim"] == 0
+
 
 class TestHomologyCommand:
     def test_absolute(self, capsys, tmp_path, sphere_file):
@@ -482,6 +489,17 @@ class TestPsiPipeline:
             capsys, ["psi", disk_circuit_file, ident, target, "--out", out]
         )
         assert code == 0 and payload["valid"]
+        code2, payload2 = run(capsys, ["verify-cert", out])
+        assert code2 == 0 and payload2["reproduced"]
+
+    def test_psi_on_a_point(self, capsys, tmp_path):
+        point = write(tmp_path, "point.json", {"complex": {"maximal": [[0]]}, "k": 0})
+        target = write(tmp_path, "target.json", {"complex": {"maximal": [[0]]}})
+        ident = write(tmp_path, "ident.json", {"vertex_map": {"0": 0}})
+        out = str(tmp_path / "cert.json")
+        code, payload = run(capsys, ["psi", point, ident, target, "--out", out])
+        assert code == 0 and payload["valid"]
+        assert payload["homology_coordinates"]["free"] == [1]
         code2, payload2 = run(capsys, ["verify-cert", out])
         assert code2 == 0 and payload2["reproduced"]
 

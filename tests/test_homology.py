@@ -29,7 +29,7 @@ from circuitsmith.snf import mat_mul, smith_diagonal, smith_normal_form
 
 from .conftest import simplex_boundary_complex
 from .generators import random_complex, random_subcomplex
-from .oracles import oracle_homology
+from .oracles import oracle_boundary_matrix, oracle_homology
 
 
 class TestBoundaryOperator:
@@ -49,6 +49,13 @@ class TestBoundaryOperator:
             dk1 = boundary_operator(tetra_boundary, k + 1)
             prod = mat_mul(dk, dk1)
             assert all(all(x == 0 for x in row) for row in prod)
+
+    def test_matches_oracle_randomized(self):
+        rng = random.Random(23)
+        for _ in range(15):
+            K = random_complex(rng, n_vertices=8, n_generators=6, max_dim=3)
+            for k in range(0, K.dim + 2):
+                assert boundary_operator(K, k) == oracle_boundary_matrix(K, k, frozenset())
 
     def test_boundary_squared_is_zero_randomized(self):
         rng = random.Random(17)
@@ -167,17 +174,54 @@ class TestSmithDiagonal:
 
 class TestTrackedEliminationOnDemand:
     @pytest.fixture
-    def tracked_calls(self, monkeypatch):
+    def eliminations(self, monkeypatch):
+        """Column counts of each tracked and each untracked elimination."""
         # the package's ``homology`` attribute is the function, not the module
         homology_module = importlib.import_module("circuitsmith.homology")
-        calls = []
+        calls = {"tracked": [], "diagonal": []}
 
-        def counting(matrix, cols=None):
-            calls.append(cols)
+        def counting_tracked(matrix, cols=None):
+            calls["tracked"].append(cols)
             return smith_normal_form(matrix, cols)
 
-        monkeypatch.setattr(homology_module, "smith_normal_form", counting)
+        def counting_diagonal(matrix, cols=None):
+            calls["diagonal"].append(cols)
+            return smith_diagonal(matrix, cols)
+
+        monkeypatch.setattr(homology_module, "smith_normal_form", counting_tracked)
+        monkeypatch.setattr(homology_module, "smith_diagonal", counting_diagonal)
         return calls
+
+    @pytest.fixture
+    def tracked_calls(self, eliminations):
+        return eliminations["tracked"]
+
+    def test_construction_eliminates_nothing(self, eliminations, projective_plane):
+        homology(projective_plane)
+        assert eliminations == {"tracked": [], "diagonal": []}
+
+    def test_betti_eliminates_only_adjacent_boundaries(self, eliminations, projective_plane):
+        H = homology(projective_plane)
+        n0, n1, n2 = (len(projective_plane.simplices_of_dim(d)) for d in range(3))
+        assert H.betti(1) == 0
+        # the boundary out of degree 1 (n1 columns), then the one into it
+        assert eliminations["diagonal"] == [n1, n2]
+        H.betti(1)
+        H.torsion(1)
+        H.betti(2)
+        assert eliminations["diagonal"] == [n1, n2, 0]
+        assert H.betti_numbers() == (1, 0, 0)
+        assert eliminations["diagonal"] == [n1, n2, 0, n0]
+        assert eliminations["tracked"] == []
+
+    def test_coordinates_and_evaluate_skip_betti_numbers(self, eliminations, sphere_circuit):
+        H = homology(sphere_circuit.L)
+        H.coordinates(IntChain(1, {}))
+        identity = SimplicialMap.identity(sphere_circuit.L)
+        z = fundamental_class(sphere_circuit, orient_circuit(sphere_circuit))
+        assert evaluate(identity, z).free in ((1,), (-1,))
+        assert eliminations["diagonal"] == []
+        assert eliminations["tracked"]
 
     def test_betti_and_torsion_track_nothing(self, tracked_calls, projective_plane):
         H = homology(projective_plane)

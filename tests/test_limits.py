@@ -286,9 +286,30 @@ class TestProperness:
         assert not is_proper(f)
 
 
+def _moved_inside(rng, f):
+    """A map that agrees with f on every puncture vertex and differs from it
+    on some interior vertex, or None if no draw gives one."""
+    images = {v: f.g.apply_vertex(v) for v in f.domain.W.vertices}
+    interior = [v for v in f.domain.W.vertices if v not in f.domain.S.vertices]
+    targets = list(f.target.W.vertices)
+    for _ in range(10):
+        vm = {**images, **{v: rng.choice(targets) for v in interior}}
+        if vm == images:
+            continue
+        try:
+            return CompactifiedMap(
+                f.domain, f.target, SimplicialMap.from_dict(f.domain.W, f.target.W, vm)
+            )
+        except MapError:
+            continue  # an interior simplex landed on a puncture
+    return None
+
+
 class TestRandomizedSmoke:
     def test_random_maps_satisfy_all_internal_laws(self):
         rng = random.Random(97)
+        other = random.Random(98)  # its own stream, so rng draws the same maps as before
+        agreeing = 0
         for _ in range(15):
             f = random_compactified_map(rng)
             assert is_proper(f) == limit_set(f).is_empty
@@ -297,9 +318,23 @@ class TestRandomizedSmoke:
                 restrict_closed(f, SimplicialComplex.from_simplices(sub))
             h = random_outer_map(rng, f.target, proper=bool(rng.getrandbits(1)))
             compose(f, h)
+            # No interior simplex of f hits the middle punctures, so the
+            # composite has f's punctures, and h carries f's limit set into
+            # the target space.
+            middle = h.domain.S.simplices
+            hits = {s for s in f.domain.W.simplices if f.apply(s) in middle}
+            assert hits <= f.domain.S.simplices
+            assert not {h.apply(s) for s in limit_set(f).members()} & h.target.S.simplices
             p1 = small_map_for_products(rng)
             p2 = small_map_for_products(rng)
             product(p1, p2)
             A_pool = [s for s in f.target.W.sorted_simplices if rng.random() < 0.3]
             if A_pool:
                 preimage_restrict(f, SimplicialComplex.from_simplices(A_pool))
+            # A map that agrees with f on every puncture vertex has f's limit set.
+            moved = _moved_inside(other, f)
+            if moved is not None:
+                assert equal_at_infinity(f, moved)
+                assert limit_set(moved).members() == limit_set(f).members()
+                agreeing += 1
+        assert agreeing >= 5

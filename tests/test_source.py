@@ -79,7 +79,6 @@ INVARIANT_SITES = {
     ("homology", "fundamental_class"),  # a given orientation
     ("homology", "induced_boundary_orientation"),  # a given orientation
     ("obstructions", "cw_dimension_bound"),  # the host dimensions passed in
-    ("limits", "equal_at_infinity"),
     ("limits", "compose"),
     ("limits", "product"),
     ("limits", "restrict_closed"),
