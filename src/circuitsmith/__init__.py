@@ -60,7 +60,6 @@ from .limits import (
     preimage_restrict,
     product,
     restrict_closed,
-    union_restriction_law,
 )
 from .obstructions import GammaGroupTable, ObstructionReport, cw_dimension_bound, dual_complex
 from .pipeline import (

@@ -2,8 +2,9 @@
 
 Subcommands consume the JSON formats documented in the README and print a
 JSON report.  Exit codes: 0 for a valid result, 1 for an invalid one (the
-report carries witnesses) or for input that cannot be read, parsed or
-accepted (the report carries the error), 2 when recognition returned Unknown.
+report carries witnesses) or for a command line or input that cannot be
+read, parsed or accepted (the report carries the error), 2 when recognition
+returned Unknown.
 """
 
 from __future__ import annotations
@@ -155,30 +156,14 @@ def cmd_limit_set(args) -> int:
 def cmd_compose(args) -> int:
     f = serialize.compactified_map_from_json(_load(args.inner))
     h = serialize.compactified_map_from_json(_load(args.outer))
-    result = compose_maps(f, h)
-    payload = {"map": serialize.compactified_map_to_json(result.map)}
-    if args.check:
-        payload["laws"] = {
-            "lower_inclusion": result.record.lower_inclusion,
-            "upper_inclusion": result.record.upper_inclusion,
-            "outer_proper": result.record.outer_proper,
-            "equality_when_proper": result.record.equality_when_proper,
-        }
-    _emit(payload)
+    _emit({"map": serialize.compactified_map_to_json(compose_maps(f, h))})
     return EXIT_VALID
 
 
 def cmd_product(args) -> int:
     f = serialize.compactified_map_from_json(_load(args.left))
     g = serialize.compactified_map_from_json(_load(args.right))
-    result = product_maps(f, g)
-    payload = {"map": serialize.compactified_map_to_json(result.map)}
-    if args.check:
-        payload["laws"] = {
-            "law_holds": result.record.law_holds,
-            "dimension_bound_ok": result.record.dimension_bound_ok,
-        }
-    _emit(payload)
+    _emit({"map": serialize.compactified_map_to_json(product_maps(f, g).map)})
     return EXIT_VALID
 
 
@@ -222,11 +207,19 @@ def cmd_verify_cert(args) -> int:
     return EXIT_VALID if payload.get("valid", True) else EXIT_INVALID
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as malformed input, so it exits 1 with a JSON
+    report; argparse itself would exit 2, the code that means Unknown."""
+
+    def error(self, message: str):
+        raise MalformedInputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     ``main`` call: it holds no state between parses."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circuitsmith",
         description="verify circuits, compute homology and limit sets, emit pseudocycle certificates",
     )
@@ -273,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="compose two compactified maps")
     p.add_argument("inner")
     p.add_argument("outer")
-    p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("product", help="product of two compactified maps")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("psi", help="certify a singular circuit as a pseudocycle")
@@ -309,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PipelineError as exc:
         _emit({

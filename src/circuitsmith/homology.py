@@ -361,11 +361,13 @@ def fundamental_class(Q: RelativeCircuitData, o: OrientationAssignment) -> IntCh
     if missing:
         raise ContractError(f"orientation does not cover {missing[0]}")
     z = IntChain(Q.k, {t: o.signs[t] for t in tops})
-    bz = chain_boundary(z)
-    stray = [s for s in bz.support if s not in Q.K.simplices]
+    # The signs come from the caller, so a leak is an orientation at fault.
+    stray = [s for s in chain_boundary(z).support if s not in Q.K.simplices]
     if stray:
-        raise InternalInvariantError(
-            f"fundamental chain boundary leaks outside the designated boundary at {stray[0]}"
+        leak = min(stray, key=lambda s: s.sort_key)
+        raise OrientationError(
+            f"fundamental chain boundary leaks outside the designated boundary at {leak}",
+            witness=(leak,),
         )
     return z
 

@@ -24,7 +24,7 @@ from .circuits import (
     verify_nullbordism,
 )
 from .complexes import OpenSimplexSet, SimplicialComplex, SimplicialMap
-from .errors import InternalInvariantError, MapError, OrientationError, PipelineError
+from .errors import MapError, OrientationError, PipelineError
 from .homology import (
     Coordinates,
     IntChain,
@@ -172,8 +172,8 @@ def psi(
 
     try:
         z = fundamental_class(circuit, orientation)
-    except (OrientationError, InternalInvariantError) as exc:
-        raise _fail("fundamental-class", str(exc))
+    except OrientationError as exc:
+        raise _fail("fundamental-class", str(exc), exc.witness)
 
     try:
         coords = evaluate(a, z, target.A, circuit.K)

@@ -39,9 +39,12 @@ def random_subcomplex(rng: random.Random, K: SimplicialComplex) -> SimplicialCom
 
 
 def random_punctured(rng: random.Random, **kwargs) -> PuncturedComplex:
+    """Random dense punctures.  A quarter of the vertices (at least one) are
+    never punctured, so the represented space keeps interior vertices."""
     W = random_complex(rng, **kwargs)
     maximal = set(W.maximal_simplices)
-    pool = [s for s in W.sorted_simplices if s not in maximal]
+    kept = set(rng.sample(W.vertices, max(1, len(W.vertices) // 4)))
+    pool = [s for s in W.sorted_simplices if s not in maximal and kept.isdisjoint(s.vertices)]
     picked = [s for s in pool if rng.random() < 0.35]
     S = SimplicialComplex.from_simplices(picked) if picked else SimplicialComplex.empty()
     return PuncturedComplex(W, S)

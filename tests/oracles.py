@@ -19,7 +19,9 @@ from circuitsmith import (
     SimplicialComplex,
     SimplicialMap,
     limit_set,
+    restrict_closed,
 )
+from circuitsmith.limits import ProductMapResult
 
 
 def oracle_snf_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -276,3 +278,74 @@ def assert_carriers_are_limit_sets(cert) -> None:
     assert carriers == tuple(
         _compactified_carrier(cert.map, W, sigma.intersection(W)) for W in (whole, part)
     )
+
+
+# The calculus of limit sets.  L(f) is the limit set of f; each law is
+# checked on the maps the library built, from limit_set alone.
+
+
+def _image_closure(f: CompactifiedMap) -> frozenset[Simplex]:
+    """Closure, in the target compactification, of the image of the
+    represented space."""
+    return SimplicialComplex.from_simplices(f.apply(s) for s in f.domain.interior_simplices).simplices
+
+
+def product_limit_prediction(
+    f: CompactifiedMap, f2: CompactifiedMap, result: ProductMapResult
+) -> frozenset[Simplex]:
+    """L(f x f2) by the product law: the open simplices of the target space
+    that project into L(f) x cl(im f2) or into cl(im f) x L(f2)."""
+    proj = result.target_product
+    left_limit, right_limit = limit_set(f).members(), limit_set(f2).members()
+    left_closure, right_closure = _image_closure(f), _image_closure(f2)
+    return frozenset(
+        s
+        for s in result.map.target.interior_simplices
+        if (proj.project_left(s) in left_limit and proj.project_right(s) in right_closure)
+        or (proj.project_left(s) in left_closure and proj.project_right(s) in right_limit)
+    )
+
+
+def assert_product_laws(f: CompactifiedMap, f2: CompactifiedMap, result: ProductMapResult) -> None:
+    """The product law, and dim L(f x f2) <= dim L(f) + dim of the domain of
+    f2 when f2 is proper."""
+    limit = limit_set(result.map)
+    assert limit.members() == product_limit_prediction(f, f2, result)
+    if limit_set(f2).is_empty:
+        assert limit.limit_dimension <= max(-1, limit_set(f).limit_dimension + f2.domain.W.dim)
+
+
+def assert_composition_laws(f: CompactifiedMap, h: CompactifiedMap, composite: CompactifiedMap) -> None:
+    """h(L(f)) <= L(h o f) <= h(L(f)) | L(h), with equality on the left when
+    h is proper."""
+    inner_image = frozenset(h.apply(s) for s in limit_set(f).members())
+    outer = limit_set(h).members()
+    both = limit_set(composite).members()
+    assert inner_image <= both
+    assert both <= inner_image | outer
+    if not outer:
+        assert both == inner_image
+
+
+def assert_restriction_laws(f: CompactifiedMap, restricted: CompactifiedMap) -> None:
+    """A closed restriction shrinks the limit set and its dimension."""
+    assert limit_set(restricted).members() <= limit_set(f).members()
+    assert limit_set(restricted).limit_dimension <= limit_set(f).limit_dimension
+
+
+def assert_cover_law(
+    f: CompactifiedMap, W1: SimplicialComplex, W2: SimplicialComplex
+) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
+    """For a closed cover W1, W2 of the domain, L(f) is the union of the
+    limit sets of the two restrictions, which are returned."""
+    assert W1.simplices | W2.simplices == f.domain.W.simplices
+    left, right = (limit_set(restrict_closed(f, W)).members() for W in (W1, W2))
+    assert left | right == limit_set(f).members()
+    return left, right
+
+
+def assert_preimage_law(
+    f: CompactifiedMap, A: SimplicialComplex, restricted: CompactifiedMap
+) -> None:
+    """Restricting to the preimage of a closed A limits inside L(f) and A."""
+    assert limit_set(restricted).members() <= limit_set(f).members() & A.simplices

@@ -43,7 +43,6 @@ from circuitsmith import (
     singular_set,
     skeleton_complement_inclusions,
     subdivision_bordism,
-    union_restriction_law,
     verify_bordism_certificate,
     verify_circuit,
     verify_manifold_complement,
@@ -64,7 +63,14 @@ from .generators import (
     random_subcomplex,
     small_map_for_products,
 )
-from .oracles import oracle_homology
+from .oracles import (
+    assert_composition_laws,
+    assert_cover_law,
+    assert_preimage_law,
+    assert_product_laws,
+    assert_restriction_laws,
+    oracle_homology,
+)
 
 
 def report(criterion: int, detail: str) -> None:
@@ -230,9 +236,7 @@ def test_criterion_4_limit_calculus_laws():
         # closed restriction shrinks the limit set and its dimension
         sub = [s for s in f.domain.W.sorted_simplices if rng.random() < 0.4]
         if sub:
-            r = restrict_closed(f, SimplicialComplex.from_simplices(sub))
-            assert limit_set(r.map).members() <= lf.members()
-            assert limit_set(r.map).limit_dimension <= lf.limit_dimension
+            assert_restriction_laws(f, restrict_closed(f, SimplicialComplex.from_simplices(sub)))
 
         # closed covers: the limit set is the union, the dimension the max
         maxes = list(f.domain.W.maximal_simplices)
@@ -248,42 +252,36 @@ def test_criterion_4_limit_calculus_laws():
             if rest
             else SimplicialComplex.empty()
         )
-        record = union_restriction_law(f, W1, W2)
-        assert record.equality
-        left_dim = max((s.dim for s in record.left), default=-1)
-        right_dim = max((s.dim for s in record.right), default=-1)
+        left, right = assert_cover_law(f, W1, W2)
+        left_dim = max((s.dim for s in left), default=-1)
+        right_dim = max((s.dim for s in right), default=-1)
         assert lf.limit_dimension == max(left_dim, right_dim)
 
         # product law; a proper second factor bounds the product dimension
         p1 = small_map_for_products(rng)
         p2 = small_map_for_products(rng)
-        pres = product(p1, p2)
-        assert pres.record.law_holds
+        assert_product_laws(p1, p2, product(p1, p2))
         compact_dom = PuncturedComplex.compact(
             random_complex(rng, n_vertices=4, n_generators=3, max_dim=2)
         )
         proper_factor = random_compactified_map(rng, domain=compact_dom, target_size=3)
         assert is_proper(proper_factor)
-        pres2 = product(p1, proper_factor)
-        assert pres2.record.law_holds and pres2.record.dimension_bound_ok
+        assert_product_laws(p1, proper_factor, product(p1, proper_factor))
 
         # composition sandwich, with equality for a proper outer map
         h = random_outer_map(rng, f.target, proper=True)
         assert is_proper(h)
-        cres = compose(f, h)
-        assert cres.record.lower_inclusion and cres.record.upper_inclusion
-        assert cres.record.equality_when_proper
+        assert_composition_laws(f, h, compose(f, h))
         h2 = random_outer_map(rng, f.target, proper=False)
-        cres2 = compose(f, h2)
-        assert cres2.record.lower_inclusion and cres2.record.upper_inclusion
+        fh2 = compose(f, h2)
+        assert_composition_laws(f, h2, fh2)
         # composite limit dimension is bounded by the max of the factors
-        assert limit_set(cres2.map).limit_dimension <= max(
+        assert limit_set(fh2).limit_dimension <= max(
             lf.limit_dimension, limit_set(h2).limit_dimension
         )
         # a dimension-preserving outer map cannot lower the limit dimension
         h3 = random_outer_map(rng, f.target, vertex_injective=True)
-        cres3 = compose(f, h3)
-        assert limit_set(cres3.map).limit_dimension >= lf.limit_dimension
+        assert limit_set(compose(f, h3)).limit_dimension >= lf.limit_dimension
         lower_bound_checks += 1
 
         # a surjective proper inner map preserves the outer limit set
@@ -305,7 +303,7 @@ def test_criterion_4_limit_calculus_laws():
             fold_dom, f.domain, SimplicialMap.from_dict(dbl, f.domain.W, fold_vm)
         )
         assert is_surjective(fold) and is_proper(fold)
-        assert limit_set(compose(fold, f).map).members() == lf.members()
+        assert limit_set(compose(fold, f)).members() == lf.members()
 
         point = PuncturedComplex.compact(build_complex([[999]]))
         proj = product(f, CompactifiedMap.identity(point))
@@ -343,8 +341,7 @@ def test_criterion_4_limit_calculus_laws():
         pool = [s for s in f.target.W.sorted_simplices if rng.random() < 0.3]
         if pool:
             A = SimplicialComplex.from_simplices(pool)
-            pre = preimage_restrict(f, A)
-            assert pre.limit.members() <= (lf.members() & A.simplices)
+            assert_preimage_law(f, A, preimage_restrict(f, A))
 
         instances += 1
 
@@ -364,8 +361,8 @@ def test_criterion_4_limit_calculus_laws():
         SimplicialMap.from_dict(path, square, {0: 10, 1: 11, 2: 12, 3: 13, 4: 10}),
     )
     composite = compose(ident, wrap)
-    assert limit_set(composite.map).members() == frozenset({Simplex((10,))})
-    assert not is_proper(composite.map)
+    assert limit_set(composite).members() == frozenset({Simplex((10,))})
+    assert not is_proper(composite)
     report(4, f"{instances} randomized maps x full law battery, plus the interval/wrap fixture")
 
 

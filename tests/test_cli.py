@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -457,18 +459,20 @@ class TestLimitCommands:
         assert payload["limit_dimension"] == 0
         assert payload["proper"] is False
 
-    def test_compose_with_check(self, capsys, tmp_path):
+    def test_compose(self, capsys, tmp_path):
         ident = self.make_identity(tmp_path)
         wrap = self.make_wrap(tmp_path)
-        code, payload = run(capsys, ["compose", ident, wrap, "--check"])
+        code, payload = run(capsys, ["compose", ident, wrap])
         assert code == 0
-        assert payload["laws"]["lower_inclusion"] and payload["laws"]["upper_inclusion"]
+        assert payload["map"]["domain"]["punctures"] == [[0], [4]]
+        assert payload["map"]["vertex_map"] == {"0": 10, "1": 11, "2": 12, "3": 13, "4": 10}
 
-    def test_product_with_check(self, capsys, tmp_path):
+    def test_product(self, capsys, tmp_path):
         ident = self.make_identity(tmp_path)
-        code, payload = run(capsys, ["product", ident, ident, "--check"])
+        code, payload = run(capsys, ["product", ident, ident])
         assert code == 0
-        assert payload["laws"]["law_holds"]
+        code, limit = run(capsys, ["limit-set", write(tmp_path, "square.json", payload["map"])])
+        assert code == 0 and limit["proper"]
 
 
 class TestPsiPipeline:
@@ -583,6 +587,51 @@ class TestGlueCommand:
         code, payload = run(capsys, ["glue", left, right, "--iso", iso])
         assert code == 0 and payload["verdict"]["valid"]
         assert payload["circuit"]["k"] == 1
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1 with a JSON error, not with
+    argparse's 2, which means Unknown."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["psi"], "required"),
+            (["homology", "x.json", "--bogus"], "unrecognized arguments: --bogus"),
+            (["check-circuit", "x.json", "--k", "two"], "invalid int value"),
+            (["compose", "a.json", "b.json", "--check"], "unrecognized arguments: --check"),
+            (["product", "a.json", "b.json", "--check"], "unrecognized arguments: --check"),
+        ],
+        ids=["missing-positional", "unknown-flag", "bad-int", "compose-check", "product-check"],
+    )
+    def test_usage_error_is_malformed_input(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in json.loads(captured.out)["error"]
+        assert "usage:" not in captured.err
+
+
+def _readme_cli_block():
+    """Each subcommand of the README's CLI block, with the options its line shows."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.strip()]
+    assert all(words[0] == "circuitsmith" for words in lines)
+    commands = {words[1]: {w.strip("[]") for w in words if w.lstrip("[").startswith("--")} for words in lines}
+    assert len(commands) == len(lines), "a subcommand appears on two lines"
+    return commands
+
+
+def test_readme_cli_block_matches_the_parser():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert _readme_cli_block() == parsed
 
 
 class TestUnknownExitCode:

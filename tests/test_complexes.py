@@ -422,9 +422,9 @@ class TestInvariants:
             f = random_compactified_map(rng)
             tops = [s for s in f.domain.W.maximal_simplices if rng.random() < 0.6]
             W1 = SimplicialComplex.from_simplices(tops or f.domain.W.maximal_simplices)
-            built["restrict_closed punctures"] = restrict_closed(f, W1).map.domain.S
+            built["restrict_closed punctures"] = restrict_closed(f, W1).domain.S
             image = SimplicialComplex.from_simplices(f.apply(s) for s in W1.simplices)
-            built["preimage_restrict punctures"] = preimage_restrict(f, image).map.domain.S
+            built["preimage_restrict punctures"] = preimage_restrict(f, image).domain.S
 
             for what, C in built.items():
                 assert_face_closed(C, what)

@@ -168,5 +168,18 @@ def test_foreign_sign_is_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["stage"] == "orientation"
 
 
+def test_flipped_sign_names_the_leaking_facet(tmp_path, capsys):
+    """One flipped sign is an orientation whose fundamental chain leaks off
+    the boundary; the report names the first facet where it leaks."""
+    cert = json.loads((GOLDEN / "psi_subdivided_disk.json").read_text())
+    cert["orientation"]["signs"][0][1] *= -1
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify-cert", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["stage"] == "fundamental-class"
+    assert report["witnesses"] == [[0, 6]]
+
+
 def test_corpus_has_no_stray_files():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)

@@ -19,7 +19,6 @@ from circuitsmith import (
     preimage_restrict,
     product,
     restrict_closed,
-    union_restriction_law,
 )
 from circuitsmith.errors import MapError, StructureError
 from circuitsmith.limits import is_surjective
@@ -29,6 +28,13 @@ from .generators import (
     random_outer_map,
     random_punctured,
     small_map_for_products,
+)
+from .oracles import (
+    assert_composition_laws,
+    assert_cover_law,
+    assert_preimage_law,
+    assert_product_laws,
+    assert_restriction_laws,
 )
 
 
@@ -105,16 +111,17 @@ class TestLimitSet:
 
 class TestCompose:
     def test_example_one_reconstructed(self, interval_identity, circle_wrap):
-        result = compose(interval_identity, circle_wrap)
+        composite = compose(interval_identity, circle_wrap)
         assert limit_set(interval_identity).is_empty
-        assert result.record.composite == frozenset({Simplex((10,))})
-        assert not is_proper(result.map)
-        assert result.record.lower_inclusion and result.record.upper_inclusion
+        assert limit_set(composite).members() == frozenset({Simplex((10,))})
+        assert not is_proper(composite)
+        assert_composition_laws(interval_identity, circle_wrap, composite)
 
     def test_identity_outer_keeps_limit(self, circle_wrap, circle):
-        result = compose(circle_wrap, CompactifiedMap.identity(circle))
-        assert result.record.composite == limit_set(circle_wrap).members()
-        assert result.record.equality_when_proper
+        ident = CompactifiedMap.identity(circle)
+        composite = compose(circle_wrap, ident)
+        assert limit_set(composite).members() == limit_set(circle_wrap).members()
+        assert_composition_laws(circle_wrap, ident, composite)
 
     def test_mismatched_middle_rejected(self, interval_identity, circle_wrap):
         with pytest.raises(StructureError):
@@ -147,7 +154,7 @@ class TestCompose:
             assert is_surjective(fold) and is_proper(fold)
             h = random_outer_map(rng, middle)
             lhs = limit_set(h).members()
-            rhs = limit_set(compose(fold, h).map).members()
+            rhs = limit_set(compose(fold, h)).members()
             assert lhs == rhs
             checked += 1
         assert checked == 20
@@ -157,11 +164,11 @@ class TestProduct:
     def test_proper_times_proper_is_proper(self, interval_identity):
         result = product(interval_identity, interval_identity)
         assert is_proper(result.map)
-        assert result.record.law_holds
+        assert_product_laws(interval_identity, interval_identity, result)
 
     def test_identity_times_wrap(self, interval_identity, circle_wrap):
         result = product(interval_identity, circle_wrap)
-        assert result.record.law_holds
+        assert_product_laws(interval_identity, circle_wrap, result)
         # limit = (closure of the interval image) x {base point}
         assert limit_set(result.map).limit_dimension == 1
 
@@ -180,43 +187,43 @@ class TestProduct:
         )
         backwards = CompactifiedMap(open_interval, circle, g)
         result = product(circle_wrap, backwards)
-        assert result.record.law_holds
+        assert_product_laws(circle_wrap, backwards, result)
 
 
 class TestRestrict:
     def test_restrict_to_whole_is_identity_on_limits(self, circle_wrap):
         result = restrict_closed(circle_wrap, circle_wrap.domain.W)
-        assert limit_set(result.map).members() == limit_set(circle_wrap).members()
+        assert limit_set(result).members() == limit_set(circle_wrap).members()
 
     def test_restrict_to_half_shrinks_limit(self, circle_wrap):
         half = SimplicialComplex.from_simplices(
             [Simplex((0, 1)), Simplex((1, 2))]
         )
         result = restrict_closed(circle_wrap, half)
-        assert limit_set(result.map).members() == frozenset({Simplex((10,))})
-        assert result.inclusion_holds
+        assert limit_set(result).members() == frozenset({Simplex((10,))})
+        assert_restriction_laws(circle_wrap, result)
 
     def test_union_law(self, circle_wrap):
         W1 = SimplicialComplex.from_simplices([Simplex((0, 1)), Simplex((1, 2))])
         W2 = SimplicialComplex.from_simplices([Simplex((2, 3)), Simplex((3, 4))])
-        record = union_restriction_law(circle_wrap, W1, W2)
-        assert record.equality
+        left, right = assert_cover_law(circle_wrap, W1, W2)
+        assert left == right == frozenset({Simplex((10,))})
 
     def test_puncture_only_restriction_is_empty(self, circle_wrap):
         just_puncture = SimplicialComplex.from_simplices([Simplex((0,))])
         result = restrict_closed(circle_wrap, just_puncture)
-        assert limit_set(result.map).is_empty
+        assert limit_set(result).is_empty
 
 
 class TestPreimage:
     def test_whole_target_reproduces_limit(self, circle_wrap, circle):
         result = preimage_restrict(circle_wrap, circle.W)
-        assert result.limit.members() == limit_set(circle_wrap).members()
+        assert limit_set(result).members() == limit_set(circle_wrap).members()
 
     def test_subcomplex_missing_limit_gives_empty(self, circle_wrap):
         A = build_complex([[12]])
         result = preimage_restrict(circle_wrap, A)
-        assert result.limit.is_empty
+        assert limit_set(result).is_empty
 
     def test_flattened_wrap_is_tight_at_base_point(self, open_interval, circle):
         # ends mapped constantly onto the base point: the preimage of the
@@ -227,8 +234,8 @@ class TestPreimage:
         flat = CompactifiedMap(open_interval, circle, g)
         A = build_complex([[10]])
         result = preimage_restrict(flat, A)
-        assert result.limit.members() == frozenset({Simplex((10,))})
-        assert result.limit.members() == limit_set(flat).members() & A.simplices
+        assert limit_set(result).members() == frozenset({Simplex((10,))})
+        assert limit_set(result).members() == limit_set(flat).members() & A.simplices
 
 
 class TestEqualAtInfinity:
@@ -307,17 +314,25 @@ def _moved_inside(rng, f):
 
 class TestRandomizedSmoke:
     def test_random_maps_satisfy_all_internal_laws(self):
+        """Every law of the limit calculus, on seeded random maps."""
         rng = random.Random(97)
-        other = random.Random(98)  # its own stream, so rng draws the same maps as before
+        other = random.Random(98)  # its own stream, so the moved maps leave the draws of rng alone
         agreeing = 0
         for _ in range(15):
             f = random_compactified_map(rng)
             assert is_proper(f) == limit_set(f).is_empty
             sub = [s for s in f.domain.W.sorted_simplices if rng.random() < 0.4]
             if sub:
-                restrict_closed(f, SimplicialComplex.from_simplices(sub))
+                assert_restriction_laws(f, restrict_closed(f, SimplicialComplex.from_simplices(sub)))
+            maxes = f.domain.W.maximal_simplices
+            half = len(maxes) // 2
+            assert_cover_law(
+                f,
+                SimplicialComplex.from_simplices(maxes[:half]),
+                SimplicialComplex.from_simplices(maxes[half:]),
+            )
             h = random_outer_map(rng, f.target, proper=bool(rng.getrandbits(1)))
-            compose(f, h)
+            assert_composition_laws(f, h, compose(f, h))
             # No interior simplex of f hits the middle punctures, so the
             # composite has f's punctures, and h carries f's limit set into
             # the target space.
@@ -327,14 +342,15 @@ class TestRandomizedSmoke:
             assert not {h.apply(s) for s in limit_set(f).members()} & h.target.S.simplices
             p1 = small_map_for_products(rng)
             p2 = small_map_for_products(rng)
-            product(p1, p2)
+            assert_product_laws(p1, p2, product(p1, p2))
             A_pool = [s for s in f.target.W.sorted_simplices if rng.random() < 0.3]
             if A_pool:
-                preimage_restrict(f, SimplicialComplex.from_simplices(A_pool))
+                A = SimplicialComplex.from_simplices(A_pool)
+                assert_preimage_law(f, A, preimage_restrict(f, A))
             # A map that agrees with f on every puncture vertex has f's limit set.
             moved = _moved_inside(other, f)
             if moved is not None:
                 assert equal_at_infinity(f, moved)
                 assert limit_set(moved).members() == limit_set(f).members()
                 agreeing += 1
-        assert agreeing >= 5
+        assert agreeing >= 10

@@ -72,18 +72,11 @@ def test_private_helpers_have_callers():
 # An InternalInvariantError raised where no caller input can break the
 # invariant re-proves a theorem of the construction on every call; such
 # theorems are asserted by the test suite instead.  Each site kept here
-# checks something a caller controls, or is a limit law whose record the
-# CLI reports under --check.
+# checks something a caller controls.
 INVARIANT_SITES = {
     ("circuits", "SingularSet.__post_init__"),  # a singular set built directly
-    ("homology", "fundamental_class"),  # a given orientation
     ("homology", "induced_boundary_orientation"),  # a given orientation
     ("obstructions", "cw_dimension_bound"),  # the host dimensions passed in
-    ("limits", "compose"),
-    ("limits", "product"),
-    ("limits", "restrict_closed"),
-    ("limits", "union_restriction_law"),
-    ("limits", "preimage_restrict"),
 }
 
 
