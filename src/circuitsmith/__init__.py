@@ -61,7 +61,7 @@ from .limits import (
     product,
     restrict_closed,
 )
-from .obstructions import GammaGroupTable, ObstructionReport, cw_dimension_bound, dual_complex
+from .obstructions import ObstructionReport, cw_dimension_bound, dual_complex
 from .pipeline import (
     BordismCertificate,
     PseudocycleCertificate,

@@ -26,7 +26,7 @@ from .complexes import (
     star,
     subdivision_prism,
 )
-from .errors import ContractError, InternalInvariantError, MapError, StructureError
+from .errors import ContractError, MapError, StructureError
 from .recognition import (
     PointClass,
     RegionVerdict,
@@ -290,10 +290,11 @@ class SingularSet:
     def __post_init__(self) -> None:
         if self.case not in ("a", "b", "c"):
             raise StructureError(f"unknown singular-set case {self.case!r}")
-        # The codimension bound is a theorem that must be confirmed, not
-        # assumed; the empty set meets it in every ambient dimension.
+        # ``singular_set`` meets the codimension bound by construction; a
+        # singular set built directly is checked.  The empty set meets it in
+        # every ambient dimension.
         if self.complex.simplices and self.complex.dim > self.ambient_dim - 2:
-            raise InternalInvariantError(
+            raise StructureError(
                 f"singular set has dimension {self.complex.dim}, ambient is {self.ambient_dim}"
             )
 

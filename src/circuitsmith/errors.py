@@ -35,10 +35,6 @@ class OrientationError(CircuitsmithError):
         self.witness = witness
 
 
-class InternalInvariantError(CircuitsmithError):
-    """A constructed object violates an invariant that must hold by theorem."""
-
-
 class ResourceLimitError(CircuitsmithError):
     """An instance exceeds the configured simplex cap."""
 

@@ -15,7 +15,6 @@ from .circuits import RelativeCircuitData
 from .complexes import Simplex, SimplicialComplex, SimplicialMap
 from .errors import (
     ContractError,
-    InternalInvariantError,
     MapError,
     OrientationError,
     StructureError,
@@ -291,9 +290,6 @@ class OrientationAssignment:
     orientable: bool
     witness_cycle: tuple[Simplex, ...] = ()
 
-    def sign(self, s: Simplex) -> int:
-        return self.signs[s]
-
 
 def orient_circuit(Q: RelativeCircuitData) -> OrientationAssignment:
     """Propagate compatible orientations across shared facets outside the
@@ -375,13 +371,19 @@ def fundamental_class(Q: RelativeCircuitData, o: OrientationAssignment) -> IntCh
 def induced_boundary_orientation(
     Q: RelativeCircuitData, o: OrientationAssignment
 ) -> OrientationAssignment:
-    """Orientation the boundary circuit inherits from the fundamental chain."""
+    """Orientation the boundary circuit inherits from the fundamental chain.
+
+    The signs come from the caller; a boundary facet whose coefficient is not
+    1 or -1 raises ``OrientationError`` with that facet as witness.
+    """
     z = fundamental_class(Q, o)
     bz = chain_boundary(z)
     signs: dict[Simplex, int] = {}
     for s, c in bz.coefficients.items():
         if c not in (1, -1):
-            raise InternalInvariantError(f"boundary coefficient {c} at {s} is not a unit")
+            raise OrientationError(
+                f"boundary coefficient {c} at {s} is not a unit", witness=(s,)
+            )
         signs[s] = c
     return OrientationAssignment(signs, True)
 

@@ -4,14 +4,13 @@ The complement of a skeleton deformation-retracts onto a low-dimensional
 dual subcomplex of the barycentric subdivision; the dimension of that dual
 complex bounds the CW dimension of the complement.  Smoothings of the
 manifold complements exist and are unique up to concordance whenever the
-relevant groups of sphere diffeomorphisms vanish, which the bounds reduce
-to table lookups in low dimensions.
+relevant groups of sphere diffeomorphisms vanish; every bound here is at
+most 3, where those groups are trivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .circuits import BordismData, RelativeCircuitData, _case
 from .complexes import (
@@ -20,7 +19,7 @@ from .complexes import (
     barycentric_subdivision,
     join_decompose,
 )
-from .errors import InternalInvariantError, MalformedInputError, StructureError
+from .errors import MalformedInputError, StructureError
 
 
 @dataclass(frozen=True)
@@ -54,29 +53,11 @@ def dual_complex(K: SimplicialComplex, r: int) -> DualComplexResult:
     return DualComplexResult(SimplicialComplex(frozenset(members)), sd, r, K.dim)
 
 
-@dataclass(frozen=True)
-class GammaGroupTable:
-    """Groups of sphere diffeomorphisms modulo those extending over the disk,
-    indexed by dimension; trivial through dimension six."""
-
-    entries: Mapping[int, str]
-
-    @classmethod
-    def standard(cls) -> "GammaGroupTable":
-        table = {n: "0" for n in range(0, 7)}
-        table[7] = "Z/28"
-        return cls(table)
-
-    def __post_init__(self) -> None:
-        for n in range(0, 7):
-            if self.entries.get(n) != "0":
-                raise StructureError(f"group table must be trivial in dimension {n}")
-
-    def describe(self, n: int) -> str:
-        return self.entries.get(n, "unknown")
-
-    def is_trivial(self, n: int) -> bool:
-        return self.entries.get(n) == "0"
+# Gamma_n, the diffeomorphisms of S^(n-1) modulo those that extend over the
+# disk, is trivial for n <= 6 (Kervaire-Milnor, "Groups of homotopy spheres
+# I", 1963, with the classical cases n <= 3).  Every CW bound is at most 3,
+# so every group a report consults is trivial.
+GAMMA_GROUPS = ("0",) * 7
 
 
 @dataclass(frozen=True)
@@ -95,7 +76,6 @@ class ObstructionReport:
 def cw_dimension_bound(
     case: str,
     data: RelativeCircuitData | BordismData,
-    table: GammaGroupTable | None = None,
 ) -> ObstructionReport:
     """CW dimension bound for the complement of the case singular set, plus
     the consulted obstruction groups.
@@ -106,7 +86,7 @@ def cw_dimension_bound(
 
     Existence obstructions live one dimension below the cohomology degree
     and uniqueness obstructions at the degree, so a bound of b consults the
-    groups in dimensions 0..b; vanishing is derived from the table.
+    groups in dimensions 0..b; vanishing is derived from ``GAMMA_GROUPS``.
 
     For 0 <= r <= dim the witness is the dual complex above the r-skeleton,
     whose dimension is dim - r - 1 (a flag from an (r+1)-face up to a top
@@ -114,7 +94,6 @@ def cw_dimension_bound(
     and checked against ``dual_complex`` by the test suite and the
     ``dual-complex`` subcommand.
     """
-    table = table or GammaGroupTable.standard()
     host, _, n, r = _case(case, data)
     bound = n - r - 1
     if host.simplices and 0 <= r <= host.dim:
@@ -123,10 +102,10 @@ def cw_dimension_bound(
         # Low-dimensional circuits: the complex itself is the witness.
         witness_dim = host.dim
     if witness_dim > bound:
-        raise InternalInvariantError(
+        raise StructureError(
             f"case {case} witness dimension {witness_dim} exceeds the bound {bound}"
         )
     required = tuple(range(0, bound + 1))
-    groups = tuple(table.describe(d) for d in required)
-    all_vanish = all(table.is_trivial(d) for d in required)
+    groups = tuple(GAMMA_GROUPS[d] for d in required)
+    all_vanish = all(g == "0" for g in groups)
     return ObstructionReport(case, bound, required, all_vanish, witness_dim, groups)

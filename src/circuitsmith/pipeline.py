@@ -3,10 +3,18 @@
 ``psi`` turns a verified singular relative circuit into a certified
 pseudocycle: the singular set is constructed, its complement certified as a
 manifold, the circuit oriented, its fundamental class evaluated in homology,
-limit carriers taken as the images of the singular set, the dimension
-bounds checked, and the smoothing obstructions reported.  Every
-stage emits witnesses and a failed stage aborts the run; no later stage
-executes after a failure.
+limit carriers taken as the images of the singular set, and the dimension
+bounds and smoothing obstructions reported.  Every checking stage emits
+witnesses and a failed stage aborts the run; no later stage executes after
+a failure.
+
+The dimension bounds and the vanishing of the obstructions are theorems of
+the construction, so they are recorded in the certificate, not checked: the
+singular set has codimension two and holds no codimension-two simplex of the
+boundary, a simplicial map never raises dimension, and the complement
+retracts onto a complex of dimension at most 3, where every group of sphere
+diffeomorphisms consulted is trivial.  ``tests/test_pipeline.py`` asserts
+both on seeded random certificates.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .homology import (
     fundamental_class,
     orient_circuit,
 )
-from .obstructions import GammaGroupTable, ObstructionReport, cw_dimension_bound
+from .obstructions import ObstructionReport, cw_dimension_bound
 
 
 @dataclass(frozen=True)
@@ -127,16 +135,15 @@ def psi(
     a: SimplicialMap,
     target: TargetPair,
     orientation: OrientationAssignment | None = None,
-    gamma_table: GammaGroupTable | None = None,
 ) -> PseudocycleCertificate:
     """Certify a singular relative circuit as a pseudocycle.
 
     Stages run in order: circuit axioms, singular set, manifold complement,
-    orientation, fundamental class, homology evaluation, limit carriers,
-    dimension bounds, obstruction report.  The first failing stage raises
-    ``PipelineError`` with its witnesses.  A given ``orientation`` is
-    trusted only once its signs are 1 or -1 on exactly the k-simplices of
-    the circuit; otherwise the orientation stage fails.
+    orientation, fundamental class, homology evaluation; the limit carriers,
+    dimension bounds and obstruction report are then recorded.  The first
+    failing stage raises ``PipelineError`` with its witnesses.  A given
+    ``orientation`` is trusted only once its signs are 1 or -1 on exactly
+    the k-simplices of the circuit; otherwise the orientation stage fails.
     """
     k = circuit.k
     if a.source.simplices != circuit.L.simplices:
@@ -183,22 +190,6 @@ def psi(
     limit_carrier = _carrier(a, sigma.complex)
     boundary_carrier = _carrier(a, sigma.complex.intersection(circuit.K))
 
-    bound_main = DimensionBound("main", limit_carrier.dim, max(-1, k - 2))
-    bound_boundary = DimensionBound("boundary", boundary_carrier.dim, max(-1, k - 3))
-    if not bound_main.ok or not bound_boundary.ok:
-        raise _fail(
-            "dimension-bounds",
-            f"limit carriers have dimensions {limit_carrier.dim}, {boundary_carrier.dim}",
-            tuple(limit_carrier.sorted_members),
-        )
-
-    obstruction = cw_dimension_bound("b", circuit, gamma_table)
-    if not obstruction.all_vanish:
-        raise _fail(
-            "obstruction",
-            f"smoothing obstructions do not vanish: {obstruction.gamma_groups}",
-        )
-
     return PseudocycleCertificate(
         circuit=circuit,
         target=target,
@@ -212,9 +203,9 @@ def psi(
         homology_coordinates=coords,
         limit_carrier=limit_carrier,
         boundary_limit_carrier=boundary_carrier,
-        bound_main=bound_main,
-        bound_boundary=bound_boundary,
-        obstruction=obstruction,
+        bound_main=DimensionBound("main", limit_carrier.dim, max(-1, k - 2)),
+        bound_boundary=DimensionBound("boundary", boundary_carrier.dim, max(-1, k - 3)),
+        obstruction=cw_dimension_bound("b", circuit),
     )
 
 
@@ -248,16 +239,14 @@ def verify_bordism_certificate(
     R: BordismData,
     d_map: SimplicialMap,
     target: TargetPair,
-    circuit: RelativeCircuitData | None = None,
-    gamma_table: GammaGroupTable | None = None,
 ) -> BordismCertificate:
-    """Certify a nullbordism of its designated sub-circuit.
+    """Certify a nullbordism of its designated sub-circuit, which inherits
+    the bordism's singular set.
 
-    Gate order: nullbordism axioms first (a singular set incompatible with
-    the designated circuit is rejected before any singular-set
-    construction), then the case-c singular set, manifold checks, limit
-    carriers and bounds, and the obstruction report.  When ``circuit`` is
-    omitted the designated circuit inherits the bordism's singular set.
+    Stages run in order: nullbordism axioms (before any singular-set
+    construction), then the case-c singular set and its manifold checks;
+    the limit carriers, dimension bounds and obstruction report are then
+    recorded.
     """
     k = R.k
     if d_map.source.simplices != R.N.simplices:
@@ -265,7 +254,7 @@ def verify_bordism_certificate(
     if d_map.target.simplices != target.X.simplices:
         raise _fail("input", "map target must be the target complex")
 
-    verdict = verify_nullbordism(R, circuit or R.designated_circuit())
+    verdict = verify_nullbordism(R, R.designated_circuit())
     if not verdict.valid:
         raise _fail(
             "verify-nullbordism",
@@ -280,18 +269,6 @@ def verify_bordism_certificate(
     side = SimplicialComplex.from_simplices(R.M.simplices - R.L.simplices)
     side_carrier = _carrier(d_map, sigma.complex.intersection(side))
 
-    bound_main = DimensionBound("main", limit_carrier.dim, max(-1, k - 1))
-    bound_side = DimensionBound("side-boundary", side_carrier.dim, max(-1, k - 2))
-    if not bound_main.ok or not bound_side.ok:
-        raise _fail(
-            "dimension-bounds",
-            f"carriers have dimensions {limit_carrier.dim}, {side_carrier.dim}",
-        )
-
-    obstruction = cw_dimension_bound("c", R, gamma_table)
-    if not obstruction.all_vanish:
-        raise _fail("obstruction", "smoothing obstructions do not vanish")
-
     return BordismCertificate(
         bordism=R,
         target=target,
@@ -302,9 +279,9 @@ def verify_bordism_certificate(
         complement_verdict=complement,
         limit_carrier=limit_carrier,
         side_limit_carrier=side_carrier,
-        bound_main=bound_main,
-        bound_side=bound_side,
-        obstruction=obstruction,
+        bound_main=DimensionBound("main", limit_carrier.dim, max(-1, k - 1)),
+        bound_side=DimensionBound("side-boundary", side_carrier.dim, max(-1, k - 2)),
+        obstruction=cw_dimension_bound("c", R),
     )
 
 

@@ -176,7 +176,6 @@ class RegionReport:
     witness: Simplex | None
     classification: dict[Simplex, PointClass]
     boundary: frozenset[Simplex]
-    unknowns: frozenset[Simplex]
 
 
 def region_is_pl_manifold(U: OpenSimplexSet, k: int) -> RegionReport:
@@ -189,7 +188,7 @@ def region_is_pl_manifold(U: OpenSimplexSet, k: int) -> RegionReport:
     Boundary simplices are reported so callers can match boundaries.
     """
     if not U.members:
-        return RegionReport(RegionVerdict.YES, None, {}, frozenset(), frozenset())
+        return RegionReport(RegionVerdict.YES, None, {}, frozenset())
     if not U.is_open:
         raise ContractError("region check requires an open set (complement must be face-closed)")
     classification = {s: _classified(s, U.host, k) for s in U.sorted_members}
@@ -198,12 +197,11 @@ def region_is_pl_manifold(U: OpenSimplexSet, k: int) -> RegionReport:
         if classification[s] is PointClass.NON_MANIFOLD:
             witness = s
             break
-    unknowns = frozenset(s for s, c in classification.items() if c is PointClass.UNKNOWN)
     boundary = frozenset(s for s, c in classification.items() if c is PointClass.BOUNDARY_MANIFOLD)
     if witness is not None:
         verdict = RegionVerdict.NO
-    elif unknowns:
+    elif PointClass.UNKNOWN in classification.values():
         verdict = RegionVerdict.UNKNOWN
     else:
         verdict = RegionVerdict.YES
-    return RegionReport(verdict, witness, classification, boundary, unknowns)
+    return RegionReport(verdict, witness, classification, boundary)

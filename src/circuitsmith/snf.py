@@ -51,8 +51,6 @@ class SNFResult:
 
     diagonal: list[int]
     rank: int
-    rows: int
-    cols: int
     P: Matrix
     Pinv: Matrix
     Q: Matrix
@@ -66,7 +64,7 @@ def smith_normal_form(matrix: Matrix, cols: int | None = None) -> SNFResult:
     q, qinv = identity(n), identity(n)
     diagonal = _eliminate([row[:] for row in matrix], m, n, (p, pinv), (q, qinv))
     rank = sum(1 for d in diagonal if d)
-    return SNFResult(diagonal, rank, m, n, p, pinv, q, qinv)
+    return SNFResult(diagonal, rank, p, pinv, q, qinv)
 
 
 def smith_diagonal(matrix: Matrix, cols: int | None = None) -> tuple[list[int], int]:

@@ -12,7 +12,6 @@ import time
 from circuitsmith import (
     BordismData,
     CompactifiedMap,
-    GammaGroupTable,
     PuncturedComplex,
     RelativeCircuitData,
     Simplex,
@@ -48,6 +47,7 @@ from circuitsmith import (
     verify_manifold_complement,
 )
 from circuitsmith.limits import is_surjective
+from circuitsmith.obstructions import GAMMA_GROUPS
 from circuitsmith.serialize import (
     dumps,
     pseudocycle_certificate_to_json,
@@ -434,23 +434,14 @@ def test_criterion_7_psi_pipeline_end_to_end():
     disk = RelativeCircuitData(triangle, boundary, 2, SimplicialComplex.empty())
     target = TargetPair(triangle, boundary)
 
-    consulted: list[int] = []
-
-    class RecordingTable(GammaGroupTable):
-        def is_trivial(self, n: int) -> bool:
-            consulted.append(n)
-            return super().is_trivial(n)
-
-    table = RecordingTable(GammaGroupTable.standard().entries)
-
     certs = []
-    cert = psi(disk, SimplicialMap.identity(triangle), target, gamma_table=table)
+    cert = psi(disk, SimplicialMap.identity(triangle), target)
     certs.append(cert)
 
     sub_disk, sd = subdivided_disk_pair()
     last_vertex = {v: max(sd.barycenter_of[v].vertices) for v in sd.complex.vertices}
     a_sub = SimplicialMap.from_dict(sub_disk.L, triangle, last_vertex)
-    cert_sub = psi(sub_disk, a_sub, target, gamma_table=table)
+    cert_sub = psi(sub_disk, a_sub, target)
     certs.append(cert_sub)
 
     wedge = build_complex(
@@ -462,7 +453,6 @@ def test_criterion_7_psi_pipeline_end_to_end():
         wedge_circuit,
         SimplicialMap.identity(wedge),
         TargetPair.absolute(wedge),
-        gamma_table=table,
     )
     certs.append(cert_wedge)
 
@@ -473,12 +463,12 @@ def test_criterion_7_psi_pipeline_end_to_end():
         assert c.bound_main.limit_dimension <= max(-1, c.k - 2)
         assert c.bound_boundary.limit_dimension <= max(-1, c.k - 3)
         assert c.obstruction.all_vanish
+        # vanishing was derived from GAMMA_GROUPS for every needed index
+        assert c.obstruction.required_gamma == (0, 1, 2)
+        assert c.obstruction.gamma_groups == tuple(GAMMA_GROUPS[d] for d in (0, 1, 2))
         payload = json.loads(dumps(pseudocycle_certificate_to_json(c)))
         ok, mismatches = reverify_certificate(payload)
         assert ok and not mismatches
-
-    # vanishing was derived by consulting the table for every needed index
-    assert sorted(set(consulted)) == [0, 1, 2]
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

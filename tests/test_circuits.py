@@ -26,7 +26,7 @@ from circuitsmith import (
     verify_nullbordism,
 )
 from circuitsmith.circuits import SingularSet, self_glue
-from circuitsmith.errors import ContractError, InternalInvariantError, StructureError
+from circuitsmith.errors import ContractError, StructureError
 
 from .conftest import simplex_boundary_complex
 
@@ -196,7 +196,7 @@ class TestSingularSet:
             assert sigma.dim <= sigma.ambient_dim - 2
 
     def test_invariant_violation_raises(self, disk_pair):
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(StructureError):
             SingularSet("b", disk_pair.L, 2)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from circuitsmith import (
     IntChain,
+    OrientationAssignment,
     RelativeCircuitData,
     Simplex,
     SimplicialComplex,
@@ -457,6 +458,19 @@ class TestFundamentalClass:
         assert set(ratio.values()) <= {1, -1}
         # single component: the ratio is constant
         assert len(set(ratio.values())) == 1
+
+    def test_induced_non_unit_coefficient_is_an_orientation_error(self):
+        # both triangles induce +1 on the shared edge, which K lists, so the
+        # fundamental chain is a relative cycle whose boundary is 2 there
+        L = build_complex([[0, 1, 2], [0, 1, 3]])
+        K = build_complex([[0, 1], [1, 2], [0, 2], [1, 3], [0, 3]])
+        data = RelativeCircuitData(L, K, 2, SimplicialComplex.empty())
+        signs = {Simplex((0, 1, 2)): 1, Simplex((0, 1, 3)): 1}
+        o = OrientationAssignment(signs, True)
+        assert fundamental_class(data, o)
+        with pytest.raises(OrientationError) as err:
+            induced_boundary_orientation(data, o)
+        assert err.value.witness == (Simplex((0, 1)),)
 
     def test_wedge_class_has_unit_coordinates(self, wedge_circuit):
         H = homology(wedge_circuit.L)

@@ -6,7 +6,6 @@ import pytest
 
 from circuitsmith import (
     BordismData,
-    GammaGroupTable,
     RelativeCircuitData,
     SimplicialComplex,
     build_complex,
@@ -14,7 +13,8 @@ from circuitsmith import (
     cylinder,
     dual_complex,
 )
-from circuitsmith.errors import InternalInvariantError, MalformedInputError, StructureError
+from circuitsmith.errors import MalformedInputError, StructureError
+from circuitsmith.obstructions import GAMMA_GROUPS
 
 from .conftest import simplex_boundary_complex
 from .generators import random_complex
@@ -50,7 +50,7 @@ def assert_bound_is_dual_complex_dim(host: SimplicialComplex) -> int:
             expected = dual_dims[r]
             data = _case_data(case, host, k)
             if expected > bound:
-                with pytest.raises(InternalInvariantError):
+                with pytest.raises(StructureError):
                     cw_dimension_bound(case, data)
                 continue
             assert cw_dimension_bound(case, data).dual_complex_dim == expected, (case, k)
@@ -95,20 +95,6 @@ class TestDualComplex:
             dual_complex(triangle, -1)
         with pytest.raises(MalformedInputError):
             dual_complex(triangle, 5)
-
-
-class TestGammaTable:
-    def test_standard_table_trivial_through_six(self):
-        table = GammaGroupTable.standard()
-        for n in range(0, 7):
-            assert table.is_trivial(n)
-        assert not table.is_trivial(7)
-        assert table.describe(7) == "Z/28"
-        assert table.describe(40) == "unknown"
-
-    def test_nontrivial_low_entries_rejected(self):
-        with pytest.raises(StructureError):
-            GammaGroupTable({0: "0", 1: "Z/2"})
 
 
 class TestCwDimensionBound:
@@ -163,25 +149,11 @@ class TestCwDimensionBound:
         assert report.dual_complex_dim == dual_complex(four_simplex_boundary, 1).dim
 
     def test_vanishing_is_derived_from_the_table(self, sphere_circuit):
-        consulted: list[int] = []
-
-        class RecordingTable(GammaGroupTable):
-            def is_trivial(self, n: int) -> bool:
-                consulted.append(n)
-                return super().is_trivial(n)
-
-        table = RecordingTable(GammaGroupTable.standard().entries)
-        report = cw_dimension_bound("a", sphere_circuit, table=table)
+        report = cw_dimension_bound("a", sphere_circuit)
+        assert report.required_gamma == (0, 1)
+        assert report.gamma_groups == tuple(GAMMA_GROUPS[d] for d in report.required_gamma)
+        assert report.gamma_groups == ("0", "0")
         assert report.all_vanish
-        assert sorted(set(consulted)) == list(report.required_gamma)
-
-        class RefusingTable(GammaGroupTable):
-            def is_trivial(self, n: int) -> bool:
-                return n == 0
-
-        refusing = RefusingTable(GammaGroupTable.standard().entries)
-        report2 = cw_dimension_bound("a", sphere_circuit, table=refusing)
-        assert not report2.all_vanish
 
     def test_case_data_mismatch_rejected(self, sphere_circuit):
         with pytest.raises(StructureError):

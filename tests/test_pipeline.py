@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from circuitsmith import (
     BordismData,
-    GammaGroupTable,
     OrientationAssignment,
     RelativeCircuitData,
     Simplex,
@@ -23,6 +23,7 @@ from circuitsmith import (
     psi,
     subdivision_bordism,
     verify_bordism_certificate,
+    verify_nullbordism,
 )
 from circuitsmith import recognition
 from circuitsmith.errors import PipelineError
@@ -35,6 +36,7 @@ from circuitsmith.serialize import (
 )
 
 from .conftest import simplex_boundary_complex
+from .generators import full_simplex, stellar_sphere
 from .oracles import assert_carriers_are_limit_sets
 
 
@@ -136,17 +138,6 @@ class TestPsi:
                 orientation=OrientationAssignment(signs, True))
         assert err.value.stage == "orientation"
 
-    def test_refusing_gamma_table_aborts_at_obstruction(self, disk_pair):
-        class RefusingTable(GammaGroupTable):
-            def is_trivial(self, n: int) -> bool:
-                return n == 0
-
-        table = RefusingTable(GammaGroupTable.standard().entries)
-        target = TargetPair(disk_pair.L, disk_pair.K)
-        with pytest.raises(PipelineError) as err:
-            psi(disk_pair, SimplicialMap.identity(disk_pair.L), target, gamma_table=table)
-        assert err.value.stage == "obstruction"
-
     def test_map_of_pairs_enforced(self, disk_pair):
         target = TargetPair(disk_pair.L, build_complex([[0]]))
         with pytest.raises(PipelineError) as err:
@@ -243,15 +234,81 @@ class TestBordismCertificates:
         )
         # the bordism singular set touches the circuit at a point the circuit
         # does not declare singular
+        verdict = verify_nullbordism(R, sphere_circuit)
+        assert not verdict.valid
+        assert Simplex((0,)) in verdict.witnesses()
+
+        # a singular set of dimension 2 fails the bordism's own axioms, so the
+        # pipeline stops before building the case-c singular set
+        R2 = BordismData(
+            solid, tetra_boundary, tetra_boundary,
+            SimplicialComplex.empty(), 2, build_complex([[0, 1, 2]]),
+        )
         with pytest.raises(PipelineError) as err:
-            verify_bordism_certificate(
-                R,
-                SimplicialMap.identity(solid),
-                TargetPair.absolute(solid),
-                circuit=sphere_circuit,
-            )
+            verify_bordism_certificate(R2, SimplicialMap.identity(solid), TargetPair.absolute(solid))
         assert err.value.stage == "verify-nullbordism"
-        assert Simplex((0,)) in err.value.witnesses
+        assert Simplex((0, 1, 2)) in err.value.witnesses
+
+
+def _random_map(rng, L, m=4):
+    """A random vertex map from L into the full m-simplex."""
+    X = full_simplex(m)
+    return SimplicialMap.from_dict(L, X, {v: rng.randint(0, m) for v in L.vertices})
+
+
+class TestConstructionTheorems:
+    """The dimension bounds and the vanishing of the smoothing obstructions
+    are theorems of the construction, which the pipelines record without
+    checking: the singular set has codimension two and holds no
+    codimension-two simplex of the boundary, a simplicial map never raises
+    dimension, and every CW bound is at most 3, where each group of sphere
+    diffeomorphisms is trivial."""
+
+    @staticmethod
+    def circuits(rng):
+        for n in (1, 2, 2, 3):
+            for _ in range(3):
+                facets = stellar_sphere(rng, n, moves=rng.randint(0, 3))
+                sphere = build_complex(facets)
+                yield RelativeCircuitData.closed(sphere, n)
+                hole = facets.pop(rng.randrange(len(facets)))
+                disk = build_complex(facets)
+                rim = SimplicialComplex.from_simplices(Simplex(tuple(hole)).facets())
+                yield RelativeCircuitData(disk, rim, n, SimplicialComplex.empty())
+
+    @staticmethod
+    def assert_theorems(cert, bounds, allowed):
+        assert [b.max_allowed for b in bounds] == [max(-1, d) for d in allowed]
+        assert all(b.ok for b in bounds)
+        assert cert.obstruction.cw_dimension_bound <= 3
+        assert cert.obstruction.all_vanish
+        assert cert.valid
+
+    def test_psi_certificates(self):
+        rng = random.Random(20261018)
+        count = 0
+        for data in self.circuits(rng):
+            a = _random_map(rng, data.L)
+            image_of_K = SimplicialComplex.from_simplices(a.apply(s) for s in data.K.simplices)
+            cert = psi(data, a, TargetPair(a.target, image_of_K))
+            self.assert_theorems(
+                cert, (cert.bound_main, cert.bound_boundary), (data.k - 2, data.k - 3)
+            )
+            count += 1
+        assert count == 24
+
+    def test_bordism_certificates(self):
+        rng = random.Random(20261019)
+        count = 0
+        for data in self.circuits(rng):
+            if data.k == 3:
+                continue  # a 4-dimensional bordism has links recognition leaves Unknown
+            for R in (cylinder(data).bordism, subdivision_bordism(data).bordism):
+                a = _random_map(rng, R.N)
+                cert = verify_bordism_certificate(R, a, TargetPair.absolute(a.target))
+                self.assert_theorems(cert, (cert.bound_main, cert.bound_side), (R.k - 1, R.k - 2))
+                count += 1
+        assert count == 36
 
 
 class TestClassificationOnce:

@@ -69,39 +69,39 @@ def test_private_helpers_have_callers():
     assert sorted(helpers - named) == []
 
 
-# An InternalInvariantError raised where no caller input can break the
-# invariant re-proves a theorem of the construction on every call; such
-# theorems are asserted by the test suite instead.  Each site kept here
-# checks something a caller controls.
-INVARIANT_SITES = {
-    ("circuits", "SingularSet.__post_init__"),  # a singular set built directly
-    ("homology", "induced_boundary_orientation"),  # a given orientation
-    ("obstructions", "cw_dimension_bound"),  # the host dimensions passed in
-}
+def test_no_internal_invariant_error():
+    # Theorems of the constructions are asserted by the test suite, and every
+    # check left in the package is on caller input, so no error class claims
+    # a library bug.
+    assert [p.name for p in FILES if "InternalInvariantError" in p.read_text()] == []
 
 
-def _invariant_sites(path):
-    """(module, qualified function) for every ``raise InternalInvariantError``."""
-    sites = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id == "InternalInvariantError":
-                    sites.add((path.stem, ".".join(scope)))
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text()), ())
-    return sites
+README = PACKAGE.parent.parent / "README.md"
 
 
-def test_internal_invariant_sites():
-    sites = set().union(*(_invariant_sites(p) for p in FILES if p.suffix == ".py"))
-    assert sorted(sites) == sorted(INVARIANT_SITES)
+def _raised_stages(path):
+    """Stage literals passed to ``_fail`` or ``PipelineError`` in one file."""
+    stages = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        first = node.args[0]
+        if name in ("_fail", "PipelineError") and isinstance(first, ast.Constant):
+            stages.add(first.value)
+    return stages
+
+
+def _documented_stages():
+    """Stages in the bullet list after "Stages a pipeline can fail at" in the
+    README, one line per pipeline: the pipeline, a colon, its stages."""
+    bullets = README.read_text().split("Stages a pipeline can fail at", 1)[1].split("\n\n")[1]
+    return {stage for line in bullets.splitlines() for stage in line.split(":", 1)[1].split("`")[1::2]}
+
+
+def test_stage_vocabulary_is_documented():
+    raised = set().union(*(_raised_stages(p) for p in FILES if p.suffix == ".py"))
+    assert sorted(raised) == sorted(_documented_stages())
 
 
 def _assert_lines(path):
