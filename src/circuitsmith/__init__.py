@@ -39,7 +39,6 @@ from .homology import (
     HomologyResult,
     IntChain,
     OrientationAssignment,
-    boundary_operator,
     chain_boundary,
     evaluate,
     fundamental_class,

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .circuits import glue, singular_set, verify_circuit
+from .circuits import glue, singular_set, verify_circuit, verify_nullbordism
 from .errors import CircuitsmithError, MalformedInputError, PipelineError
 from .homology import evaluate, fundamental_class, homology, orient_circuit
 from .limits import compose as compose_maps
@@ -72,11 +72,19 @@ def cmd_check_circuit(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    # As in the pipelines, the axioms come first: a singular set built on
+    # data that fails them describes nothing.
     payload = _load(args.file)
     if args.case == "c":
         data = serialize.bordism_from_json(payload)
+        verdict = verify_nullbordism(data, data.designated_circuit())
     else:
         data = serialize.circuit_from_json(payload)
+        verdict = verify_circuit(data)
+    if not verdict.valid:
+        payload = serialize.verdict_to_json(verdict)
+        _emit(payload)
+        return _verdict_exit(payload)
     sigma = singular_set(args.case, data)
     _emit(serialize.singular_set_to_json(sigma))
     return EXIT_VALID

@@ -36,7 +36,8 @@ class OrientationError(CircuitsmithError):
 
 
 class ResourceLimitError(CircuitsmithError):
-    """An instance exceeds the configured simplex cap."""
+    """An instance exceeds the configured simplex cap, or homology would
+    build a dense matrix over its cell limit."""
 
 
 class PipelineError(CircuitsmithError):

@@ -1,9 +1,10 @@
 """Integer simplicial homology of complex pairs, circuit orientations,
 fundamental classes, and evaluation of singular circuits in homology.
 
-All arithmetic is exact (Python ints).  Bases are the canonically sorted
-simplices, and the Smith-form transforms are deterministic, so homology
-coordinates are reproducible across runs.
+Homology here gives Betti numbers, torsion and the coordinates of a class;
+it chooses no cycle basis.  All arithmetic is exact (Python ints).  Bases
+are the canonically sorted simplices, and the Smith-form transforms are
+deterministic, so homology coordinates are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,15 @@ from .errors import (
     ContractError,
     MapError,
     OrientationError,
+    ResourceLimitError,
     StructureError,
 )
 from .snf import Matrix, mat_vec, smith_diagonal, smith_normal_form, zeros
+
+# The most cells a dense boundary matrix may have.  The largest one built so
+# far, the degree-2 boundary of a fourfold subdivided tetrahedron boundary,
+# has 4.03e7; a larger one would exhaust memory instead of failing here.
+MAX_DENSE_CELLS = 50_000_000
 
 
 @dataclass
@@ -85,11 +92,6 @@ def chain_boundary(z: IntChain) -> IntChain:
     return IntChain(z.degree - 1, out)
 
 
-def boundary_operator(K: SimplicialComplex, k: int) -> Matrix:
-    """Matrix of the degree-k boundary over the canonical simplex order."""
-    return HomologyResult(K)._boundary_matrix(k)
-
-
 @dataclass(frozen=True)
 class Coordinates:
     """Coordinates of a homology class: free part plus torsion residues."""
@@ -102,26 +104,24 @@ class Coordinates:
 
 @dataclass
 class _DegreeData:
-    """The eliminations behind coordinates and generators in one degree."""
+    """What coordinates read in one degree: Qinv of the outgoing boundary
+    with its rank, and P of the kernel-coordinate matrix with its nonzero
+    invariant factors."""
 
-    basis: tuple[Simplex, ...]
     rank_boundary_out: int         # rank of the outgoing boundary (degree)
     diagonal: tuple[int, ...]      # nonzero invariant factors of the incoming
                                    # boundary, as many as its rank
-    q: Matrix                      # column transform of the outgoing boundary
-    qinv: Matrix
+    qinv: Matrix                   # inverse column transform of the outgoing boundary
     p2: Matrix                     # row transform of the kernel-coordinate matrix
-    p2inv: Matrix
 
 
 class HomologyResult:
-    """Integer homology of a pair with torsion, generators and coordinates.
+    """Integer homology of a pair: Betti numbers, torsion and coordinates.
 
     Nothing is eliminated up front.  The Betti number and torsion of degree
     k come from the invariant factors of the relative boundary matrices into
-    and out of degree k; coordinates and generators come from the tracked
-    eliminations of their degree.  Each elimination runs on first use and is
-    kept.
+    and out of degree k; coordinates come from the two tracked eliminations
+    of their degree.  Each elimination runs on first use and is kept.
     """
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex | None = None):
@@ -147,8 +147,16 @@ class HomologyResult:
         ]
 
     def _boundary_matrix(self, k: int) -> Matrix:
-        """The dense relative boundary matrix from degree k to k-1."""
-        mat = zeros(len(self._bases.get(k - 1, ())), len(self._bases.get(k, ())))
+        """The dense relative boundary matrix from degree k to k-1.  A matrix
+        of more than ``MAX_DENSE_CELLS`` cells raises ``ResourceLimitError``
+        before anything is allocated."""
+        rows, cols = len(self._bases.get(k - 1, ())), len(self._bases.get(k, ()))
+        if rows * cols > MAX_DENSE_CELLS:
+            raise ResourceLimitError(
+                f"boundary matrix of degree {k} has shape {rows} x {cols}, "
+                f"over the dense limit of {MAX_DENSE_CELLS} cells"
+            )
+        mat = zeros(rows, cols)
         for j, column in enumerate(self._columns(k)):
             for r, sign in column:
                 mat[r][j] = sign
@@ -171,20 +179,16 @@ class HomologyResult:
         return data
 
     def _compute_degree(self, k: int) -> _DegreeData:
-        basis = self._bases[k]
-        snf_out = smith_normal_form(self._boundary_matrix(k), cols=len(basis))
-        r_out, q, qinv = snf_out.rank, snf_out.Q, snf_out.Qinv
-        del snf_out  # its row transforms are unused; free them before the next elimination
+        snf_out = smith_normal_form(self._boundary_matrix(k), cols=len(self._bases[k]))
+        r_out, qinv = snf_out.rank, snf_out.Qinv
+        del snf_out  # its row transform is unused; free it before the next elimination
         m = self._kernel_coordinates(k, qinv, r_out)
         snf_in = smith_normal_form(m, cols=len(self._bases.get(k + 1, ())))
         return _DegreeData(
-            basis=basis,
             rank_boundary_out=r_out,
             diagonal=tuple(d for d in snf_in.diagonal if d),
-            q=q,
             qinv=qinv,
             p2=snf_in.P,
-            p2inv=snf_in.Pinv,
         )
 
     def _kernel_coordinates(self, k: int, qinv: Matrix, r_out: int) -> Matrix:
@@ -247,35 +251,6 @@ class HomologyResult:
         residues = tuple(w[i] % d for i, d in enumerate(data.diagonal) if d > 1)
         orders = tuple(d for d in data.diagonal if d > 1)
         return Coordinates(k, tuple(w[len(data.diagonal) :]), residues, orders)
-
-    def _kernel_chain(self, k: int, kappa_index: int) -> IntChain:
-        data = self._degree(k)
-        r = data.rank_boundary_out
-        n = len(data.basis)
-        column = [data.p2inv[i][kappa_index] for i in range(n - r)]
-        coeffs: dict[Simplex, int] = {}
-        for i in range(n):
-            val = sum(data.q[i][r + j] * column[j] for j in range(n - r))
-            if val:
-                coeffs[data.basis[i]] = val
-        return IntChain(k, coeffs)
-
-    def free_generators(self, k: int) -> list[IntChain]:
-        data = self._degree(k)
-        if data is None:
-            return []
-        kernel_dim = len(data.basis) - data.rank_boundary_out
-        return [self._kernel_chain(k, j) for j in range(len(data.diagonal), kernel_dim)]
-
-    def torsion_generators(self, k: int) -> list[IntChain]:
-        data = self._degree(k)
-        if data is None:
-            return []
-        return [
-            self._kernel_chain(k, i)
-            for i, d in enumerate(data.diagonal)
-            if d > 1
-        ]
 
 
 def homology(K: SimplicialComplex, A: SimplicialComplex | None = None) -> HomologyResult:

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Smith normal form, with or without the
-transforms that carry a matrix to it.
+two transforms that homology coordinates read.
 
 Entries are Python ints, so no overflow; the pivot rule picks a smallest
 nonzero entry to limit coefficient growth during elimination.
@@ -23,48 +23,31 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return zeros(len(a), len(b[0]) if b else 0)
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
 
 
 @dataclass
 class SNFResult:
-    """P @ original @ Q == diag(diagonal); Pinv, Qinv are exact inverses."""
+    """P @ original == diag(diagonal) @ Qinv, with P and Qinv unimodular.
+
+    P is the row transform and Qinv the inverse of the column transform;
+    their inverses are not formed, because nothing in the package reads
+    them."""
 
     diagonal: list[int]
     rank: int
     P: Matrix
-    Pinv: Matrix
-    Q: Matrix
     Qinv: Matrix
 
 
 def smith_normal_form(matrix: Matrix, cols: int | None = None) -> SNFResult:
     m = len(matrix)
     n = cols if cols is not None else (len(matrix[0]) if matrix else 0)
-    p, pinv = identity(m), identity(m)
-    q, qinv = identity(n), identity(n)
-    diagonal = _eliminate([row[:] for row in matrix], m, n, (p, pinv), (q, qinv))
+    p, qinv = identity(m), identity(n)
+    diagonal = _eliminate([row[:] for row in matrix], m, n, p, qinv)
     rank = sum(1 for d in diagonal if d)
-    return SNFResult(diagonal, rank, p, pinv, q, qinv)
+    return SNFResult(diagonal, rank, p, qinv)
 
 
 def smith_diagonal(matrix: Matrix, cols: int | None = None) -> tuple[list[int], int]:
@@ -77,18 +60,12 @@ def smith_diagonal(matrix: Matrix, cols: int | None = None) -> tuple[list[int], 
 
 
 def _eliminate(
-    a: Matrix,
-    m: int,
-    n: int,
-    rows: tuple[Matrix, Matrix] | None,
-    cols: tuple[Matrix, Matrix] | None,
+    a: Matrix, m: int, n: int, p: Matrix | None, qinv: Matrix | None
 ) -> list[int]:
     """Reduce the m x n matrix ``a`` in place to Smith form and return its
-    diagonal.  ``rows`` is (P, Pinv) and ``cols`` is (Q, Qinv), each updated
-    with every row or column operation when given; the operations on ``a``
-    do not depend on which transforms are tracked."""
-    p, pinv = rows if rows is not None else (None, None)
-    q, qinv = cols if cols is not None else (None, None)
+    diagonal.  The row transform ``p`` takes every row operation and
+    ``qinv`` the inverse of every column operation, each when given; the
+    operations on ``a`` do not depend on which transforms are tracked."""
 
     def row_add(dst: int, src: int, c: int, support: list[int] | None = None) -> None:
         # ``support`` lists the nonzero columns of row src, when known.
@@ -102,9 +79,6 @@ def _eliminate(
                 arow[j] += c * srow[j]
         if p is not None:
             p[dst] = [x + c * y if y else x for x, y in zip(p[dst], p[src])]
-            for r in pinv:
-                if r[dst]:
-                    r[src] -= c * r[dst]
 
     def col_add(dst: int, src: int, c: int, support: list[int]) -> None:
         # ``support`` lists the nonzero rows of column src.
@@ -112,10 +86,7 @@ def _eliminate(
             return
         for i in support:
             a[i][dst] += c * a[i][src]
-        if q is not None:
-            for row in q:
-                if row[src]:
-                    row[dst] += c * row[src]
+        if qinv is not None:
             qinv[src] = [x - c * y if y else x for x, y in zip(qinv[src], qinv[dst])]
 
     def row_swap(i: int, j: int) -> None:
@@ -124,25 +95,19 @@ def _eliminate(
         a[i], a[j] = a[j], a[i]
         if p is not None:
             p[i], p[j] = p[j], p[i]
-            for r in pinv:
-                r[i], r[j] = r[j], r[i]
 
     def col_swap(i: int, j: int) -> None:
         if i == j:
             return
         for r in a:
             r[i], r[j] = r[j], r[i]
-        if q is not None:
-            for r in q:
-                r[i], r[j] = r[j], r[i]
+        if qinv is not None:
             qinv[i], qinv[j] = qinv[j], qinv[i]
 
     def row_negate(i: int) -> None:
         a[i] = [-x for x in a[i]]
         if p is not None:
             p[i] = [-x for x in p[i]]
-            for r in pinv:
-                r[i] = -r[i]
 
     def eliminate_at(t: int) -> None:
         # Clear the pivot column, then the pivot row; any nonzero remainder

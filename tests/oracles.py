@@ -8,6 +8,7 @@ no code with the library implementation.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 from circuitsmith import (
     CompactifiedMap,
@@ -83,6 +84,43 @@ def oracle_snf_diagonal(matrix: list[list[int]]) -> list[int]:
         diag.append(abs(d))
         top += 1
     return diag
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The integer matrix product a @ b."""
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            if a[i][k]:
+                for j in range(cols):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def oracle_inverse(matrix: list[list[int]]) -> list[list[int]] | None:
+    """The inverse of a square integer matrix when it is again an integer
+    matrix (the matrix is unimodular), else None; plain Gauss-Jordan over
+    the rationals."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    inverse = [row[n:] for row in a]
+    if any(x.denominator != 1 for row in inverse for x in row):
+        return None
+    return [[int(x) for x in row] for row in inverse]
 
 
 def oracle_boundary_matrix(

@@ -104,6 +104,13 @@ class TestSigma:
         assert code == 0
         assert payload["simplices"] == [] and payload["ambient_dim"] == 0
 
+    def test_case_c_rejects_a_circuit(self, capsys, disk_circuit_file):
+        # read as a bordism, the disk has dimension 2 where 3 is needed
+        code, payload = run(capsys, ["sigma", "--case", "c", disk_circuit_file])
+        assert code == 1 and not payload["valid"]
+        witnesses = [w for c in payload["checks"] if not c["passed"] for w in c["witnesses"]]
+        assert [0, 1, 2] in witnesses
+
 
 class TestHomologyCommand:
     def test_absolute(self, capsys, tmp_path, sphere_file):
@@ -132,6 +139,15 @@ class TestHomologyCommand:
         code, payload = run(capsys, ["homology", rp2])
         assert code == 0
         assert payload["torsion"] == {"1": [2]}
+
+    def test_dense_cell_guard(self, capsys, tmp_path):
+        n = 7100  # the boundary of degree 1 has 7100 x 7100 cells
+        cycle = write(tmp_path, "cycle.json", {"maximal": [[i, (i + 1) % n] for i in range(n)]})
+        code = main(["homology", cycle])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "7100 x 7100" in json.loads(captured.out)["error"]
+        assert "Traceback" not in captured.err
 
 
 class TestHomologyLoader:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import importlib
 import random
+import tracemalloc
 
 import pytest
 
 from circuitsmith import (
+    HomologyResult,
     IntChain,
     OrientationAssignment,
     RelativeCircuitData,
@@ -13,7 +15,6 @@ from circuitsmith import (
     SimplicialComplex,
     SimplicialMap,
     boundary_circuit,
-    boundary_operator,
     build_complex,
     chain_boundary,
     disjoint_union_circuits,
@@ -24,30 +25,58 @@ from circuitsmith import (
     orient_circuit,
     pushforward,
 )
-from circuitsmith.errors import ContractError, OrientationError
+from circuitsmith.errors import ContractError, OrientationError, ResourceLimitError
 from circuitsmith.homology import connecting_coordinates
-from circuitsmith.snf import mat_mul, smith_diagonal, smith_normal_form
+from circuitsmith.snf import smith_diagonal, smith_normal_form
 
 from .conftest import simplex_boundary_complex
 from .generators import random_complex, random_subcomplex
-from .oracles import oracle_boundary_matrix, oracle_homology
+from .oracles import mat_mul, oracle_boundary_matrix, oracle_homology, oracle_inverse
+
+
+def kept_generators(H, k):
+    """Free and torsion generators of degree k, built from the two transforms
+    that H keeps for coordinates: Qinv of the outgoing boundary, whose
+    inverse's columns from the rank on span the relative cycles, and P of
+    the kernel coordinates, whose inverse's columns are the generators in
+    that span.  Both transforms must be unimodular, and each generator must
+    be a relative cycle."""
+    data = H._degree(k)
+    basis = H._bases[k]
+    q, p2inv = oracle_inverse(data.qinv), oracle_inverse(data.p2)
+    assert q is not None and p2inv is not None
+    r, n = data.rank_boundary_out, len(basis)
+
+    def chain(j):
+        z = IntChain(k, {
+            basis[i]: sum(q[i][r + t] * p2inv[t][j] for t in range(n - r))
+            for i in range(n)
+        })
+        if k:
+            assert chain_boundary(z).support <= H.A.simplices
+        return z
+
+    free = [chain(j) for j in range(len(data.diagonal), n - r)]
+    torsion = [chain(i) for i, d in enumerate(data.diagonal) if d > 1]
+    return free, torsion
 
 
 class TestBoundaryOperator:
     def test_edge_column(self):
         K = build_complex([[0, 1]])
-        mat = boundary_operator(K, 1)
+        mat = HomologyResult(K)._boundary_matrix(1)
         assert [row[0] for row in mat] == [-1, 1]
 
     def test_triangle_column(self, triangle):
-        mat = boundary_operator(triangle, 2)
+        mat = HomologyResult(triangle)._boundary_matrix(2)
         # rows are the canonically sorted edges (0,1),(0,2),(1,2)
         assert [row[0] for row in mat] == [1, -1, 1]
 
     def test_boundary_squared_is_zero(self, tetra_boundary):
+        H = HomologyResult(tetra_boundary)
         for k in range(1, tetra_boundary.dim + 1):
-            dk = boundary_operator(tetra_boundary, k)
-            dk1 = boundary_operator(tetra_boundary, k + 1)
+            dk = H._boundary_matrix(k)
+            dk1 = H._boundary_matrix(k + 1)
             prod = mat_mul(dk, dk1)
             assert all(all(x == 0 for x in row) for row in prod)
 
@@ -56,7 +85,9 @@ class TestBoundaryOperator:
         for _ in range(15):
             K = random_complex(rng, n_vertices=8, n_generators=6, max_dim=3)
             for k in range(0, K.dim + 2):
-                assert boundary_operator(K, k) == oracle_boundary_matrix(K, k, frozenset())
+                assert HomologyResult(K)._boundary_matrix(k) == oracle_boundary_matrix(
+                    K, k, frozenset()
+                )
 
     def test_boundary_squared_is_zero_randomized(self):
         rng = random.Random(17)
@@ -88,24 +119,18 @@ class TestBoundaryOperator:
 
 
 class TestSmithTransforms:
-    def test_transforms_are_exact_inverses(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            m = rng.randint(1, 6)
-            n = rng.randint(1, 6)
-            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    def test_transforms_are_unimodular_and_carry_matrix_to_diagonal(self):
+        # P A Q = D with Q unimodular reads P A = D Qinv
+        for mat, n in _seeded_matrices():
+            m = len(mat)
             res = smith_normal_form(mat, cols=n)
-            left = mat_mul(res.P, mat_mul(mat, res.Q))
-            for i in range(m):
-                for j in range(n):
-                    expected = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
-                    assert left[i][j] == expected
-            assert mat_mul(res.P, res.Pinv) == [
-                [1 if i == j else 0 for j in range(m)] for i in range(m)
+            d = [
+                [res.diagonal[i] if i == j and i < len(res.diagonal) else 0 for j in range(n)]
+                for i in range(m)
             ]
-            assert mat_mul(res.Q, res.Qinv) == [
-                [1 if i == j else 0 for j in range(n)] for i in range(n)
-            ]
+            assert mat_mul(res.P, mat) == mat_mul(d, res.Qinv)
+            assert oracle_inverse(res.P) is not None
+            assert oracle_inverse(res.Qinv) is not None
 
     def test_divisibility_chain(self):
         rng = random.Random(9)
@@ -158,7 +183,7 @@ class TestSmithDiagonal:
         for _ in range(20):
             K = random_complex(rng, n_vertices=8, max_dim=3)
             for k in range(1, K.dim + 1):
-                d = boundary_operator(K, k)
+                d = HomologyResult(K)._boundary_matrix(k)
                 n = len(K.simplices_of_dim(k))
                 res = smith_normal_form(d, cols=n)
                 assert smith_diagonal(d, cols=n) == (res.diagonal, res.rank)
@@ -176,14 +201,19 @@ class TestSmithDiagonal:
 class TestTrackedEliminationOnDemand:
     @pytest.fixture
     def eliminations(self, monkeypatch):
-        """Column counts of each tracked and each untracked elimination."""
+        """Column counts of each tracked and each untracked elimination, and
+        the row count of each transform that a tracked elimination returns."""
         # the package's ``homology`` attribute is the function, not the module
         homology_module = importlib.import_module("circuitsmith.homology")
-        calls = {"tracked": [], "diagonal": []}
+        calls = {"tracked": [], "diagonal": [], "transforms": []}
 
         def counting_tracked(matrix, cols=None):
             calls["tracked"].append(cols)
-            return smith_normal_form(matrix, cols)
+            res = smith_normal_form(matrix, cols)
+            calls["transforms"].append(
+                {name: len(v) for name, v in vars(res).items() if name not in ("diagonal", "rank")}
+            )
+            return res
 
         def counting_diagonal(matrix, cols=None):
             calls["diagonal"].append(cols)
@@ -199,7 +229,7 @@ class TestTrackedEliminationOnDemand:
 
     def test_construction_eliminates_nothing(self, eliminations, projective_plane):
         homology(projective_plane)
-        assert eliminations == {"tracked": [], "diagonal": []}
+        assert eliminations == {"tracked": [], "diagonal": [], "transforms": []}
 
     def test_betti_eliminates_only_adjacent_boundaries(self, eliminations, projective_plane):
         H = homology(projective_plane)
@@ -231,20 +261,35 @@ class TestTrackedEliminationOnDemand:
         assert all(H.torsion(k) == () for k in (0, 2))
         assert tracked_calls == []
 
-    def test_coordinates_build_only_their_degree(self, tracked_calls, tetra_boundary):
+    def test_coordinates_build_only_their_degree(self, eliminations, tetra_boundary):
         H = homology(tetra_boundary)
         H.betti_numbers()
         z = IntChain(1, {})
         H.coordinates(z)
         # the outgoing boundary of degree 1 (6 edges), then the kernel
         # coordinates of the incoming boundary (4 triangles)
-        assert tracked_calls == [6, 4]
+        assert eliminations["tracked"] == [6, 4]
+        # each returns P and Qinv only: P of the 4 x 6 boundary, then P of
+        # the 3 x 4 kernel coordinates (the 6 - 3 cycle coordinates)
+        assert eliminations["transforms"] == [{"P": 4, "Qinv": 6}, {"P": 3, "Qinv": 4}]
         H.coordinates(z)
-        H.free_generators(1)
-        H.torsion_generators(1)
-        assert tracked_calls == [6, 4]
-        H.free_generators(2)
-        assert tracked_calls == [6, 4, 4, 0]
+        assert eliminations["tracked"] == [6, 4]
+        H.coordinates(IntChain(2, {}))
+        assert eliminations["tracked"] == [6, 4, 4, 0]
+
+
+class TestDenseCellGuard:
+    def test_boundary_over_the_limit_raises_before_allocating(self):
+        n = 7100  # a cycle graph: the boundary of degree 1 has 7100 x 7100 cells
+        H = homology(build_complex([[i, (i + 1) % n] for i in range(n)]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="degree 1 has shape 7100 x 7100"):
+                H.betti(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestHomology:
@@ -321,7 +366,7 @@ class TestHomology:
 
     def test_generator_coordinates_roundtrip(self, tetra_boundary):
         H = homology(tetra_boundary)
-        gens = H.free_generators(2)
+        gens, _ = kept_generators(H, 2)
         assert len(gens) == 1
         coords = H.coordinates(gens[0])
         assert coords.free == (1,)
@@ -347,8 +392,7 @@ class TestHomology:
             K = random_complex(rng, n_vertices=8, n_generators=6, max_dim=3)
             H = homology(K)
             for k in range(0, K.dim + 1):
-                free = H.free_generators(k)
-                tors = H.torsion_generators(k)
+                free, tors = kept_generators(H, k)
                 if not free and not tors:
                     continue
                 coeffs = [rng.randint(-4, 4) for _ in free]
@@ -375,7 +419,7 @@ class TestHomology:
 
     def test_torsion_coordinates_on_projective_plane(self, projective_plane):
         H = homology(projective_plane)
-        tors = H.torsion_generators(1)
+        _, tors = kept_generators(H, 1)
         assert len(tors) == 1
         g = tors[0]
         assert H.coordinates(g).torsion == (1,)
