@@ -8,10 +8,7 @@ from .circuits import (
     SingularSet,
     boundary_circuit,
     cylinder,
-    default_singular_set,
-    disjoint_union_circuits,
     glue,
-    self_glue,
     singular_set,
     skeleton_complement_inclusions,
     subdivision_bordism,
@@ -26,11 +23,9 @@ from .complexes import (
     SimplicialMap,
     barycentric_subdivision,
     build_complex,
-    complex_isomorphism,
     join_decompose,
     link,
     product_complex,
-    skeleton,
     star,
     subdivision_prism,
 )
@@ -52,8 +47,6 @@ from .limits import (
     LimitSetResult,
     PuncturedComplex,
     compose,
-    equal_at_infinity,
-    is_pair_isomorphism,
     is_proper,
     limit_set,
     preimage_restrict,
@@ -70,12 +63,9 @@ from .pipeline import (
     verify_bordism_certificate,
 )
 from .recognition import (
-    ManifoldReport,
     PointClass,
     RegionVerdict,
     classify_point,
-    non_manifold_set,
-    pseudomanifold_check,
     region_is_pl_manifold,
 )
 

@@ -27,12 +27,7 @@ from .complexes import (
     subdivision_prism,
 )
 from .errors import ContractError, MapError, StructureError
-from .recognition import (
-    PointClass,
-    RegionVerdict,
-    non_manifold_set,
-    region_is_pl_manifold,
-)
+from .recognition import RegionVerdict, region_is_pl_manifold
 
 
 @dataclass(frozen=True)
@@ -54,10 +49,6 @@ class RelativeCircuitData:
     @classmethod
     def closed(cls, L: SimplicialComplex, k: int, S: SimplicialComplex | None = None) -> "RelativeCircuitData":
         return cls(L, SimplicialComplex.empty(), k, S or SimplicialComplex.empty())
-
-    @property
-    def is_closed_circuit(self) -> bool:
-        return not self.K.simplices
 
 
 @dataclass(frozen=True)
@@ -119,19 +110,6 @@ class CircuitVerdict:
         for c in self.failures():
             out.extend(c.witnesses)
         return tuple(out)
-
-
-def default_singular_set(L: SimplicialComplex, K: SimplicialComplex, k: int) -> SimplicialComplex:
-    """Smallest closed set containing every recognition obstruction: the
-    non-manifold locus plus boundary anomalies relative to K."""
-    report = non_manifold_set(L)
-    bad = set(report.non_manifold_subcomplex.simplices)
-    for s, c in report.classification.items():
-        if c is PointClass.BOUNDARY_MANIFOLD and s not in K.simplices:
-            bad.add(s)
-        elif c is PointClass.INTERIOR_MANIFOLD and s in K.simplices:
-            bad.add(s)
-    return SimplicialComplex.from_simplices(bad)
 
 
 def _sorted_witnesses(simplices) -> tuple[Simplex, ...]:
@@ -429,42 +407,6 @@ class GlueResult:
     right_vertex_map: dict[int, int]
     reversed_right: bool
 
-    def image_of_left(self) -> SimplicialComplex:
-        return relabel_into(self.data.L, self.left_vertex_map)
-
-    def image_of_right(self) -> SimplicialComplex:
-        return relabel_into(self.data.L, self.right_vertex_map)
-
-
-def relabel_into(host: SimplicialComplex, mapping: Mapping[int, int]) -> SimplicialComplex:
-    """Subcomplex of host spanned by the image of a vertex mapping."""
-    keep = set()
-    image = set(mapping.values())
-    for s in host.simplices:
-        if set(s.vertices) <= image:
-            keep.add(s)
-    return SimplicialComplex(frozenset(keep))
-
-
-def _checked_interface_iso(
-    iso: Mapping[int, int],
-    interface_a: SimplicialComplex,
-    interface_b: SimplicialComplex,
-    name_a: str,
-    name_b: str,
-) -> dict[int, int]:
-    """The iso as a dict, once it is a simplicial isomorphism defined exactly
-    on the vertices of interface_a and onto those of interface_b."""
-    iso = dict(iso)
-    if sorted(iso.keys()) != list(interface_a.vertices):
-        raise MapError(f"iso must be defined exactly on the {name_a} interface vertices")
-    if sorted(iso.values()) != list(interface_b.vertices):
-        raise MapError(f"iso must hit exactly the {name_b} interface vertices")
-    mapped = {Simplex.of(iso[v] for v in s.vertices) for s in interface_a.simplices}
-    if mapped != set(interface_b.simplices):
-        raise MapError("iso is not a simplicial isomorphism of the interfaces")
-    return iso
-
 
 def glue(
     A: RelativeCircuitData,
@@ -490,7 +432,14 @@ def glue(
         raise StructureError("left interface must be a subcomplex of the left boundary")
     if not interface_b.is_subcomplex_of(B.K):
         raise StructureError("right interface must be a subcomplex of the right boundary")
-    iso = _checked_interface_iso(iso, interface_a, interface_b, "left", "right")
+    iso = dict(iso)
+    if sorted(iso.keys()) != list(interface_a.vertices):
+        raise MapError("iso must be defined exactly on the left interface vertices")
+    if sorted(iso.values()) != list(interface_b.vertices):
+        raise MapError("iso must hit exactly the right interface vertices")
+    mapped = {Simplex.of(iso[v] for v in s.vertices) for s in interface_a.simplices}
+    if mapped != set(interface_b.simplices):
+        raise MapError("iso is not a simplicial isomorphism of the interfaces")
 
     left_map = {v: v for v in A.L.vertices}
     inverse = {w: v for v, w in iso.items()}
@@ -522,72 +471,6 @@ def glue(
     data = RelativeCircuitData(L_new, K_new, A.k, S_new)
     verdict = verify_circuit(data)
     return GlueResult(data, verdict, left_map, right_map, reverse_orientation)
-
-
-def disjoint_union_circuits(A: RelativeCircuitData, B: RelativeCircuitData) -> GlueResult:
-    return glue(
-        A,
-        B,
-        SimplicialComplex.empty(),
-        SimplicialComplex.empty(),
-        {},
-        reverse_orientation=False,
-    )
-
-
-@dataclass(frozen=True)
-class SelfGlueResult:
-    data: RelativeCircuitData
-    verdict: CircuitVerdict
-    vertex_map: dict[int, int]
-
-
-def self_glue(
-    A: RelativeCircuitData,
-    interface_a: SimplicialComplex,
-    interface_b: SimplicialComplex,
-    iso: Mapping[int, int],
-) -> SelfGlueResult:
-    """Identify two disjoint boundary subcomplexes of one circuit.
-
-    ``iso`` maps interface_a vertices to interface_b vertices; the second
-    interface is folded onto the first.  Identifications that would collapse
-    a simplex or merge simplices outside the interfaces are rejected.
-    """
-    if not interface_a.is_subcomplex_of(A.K) or not interface_b.is_subcomplex_of(A.K):
-        raise StructureError("interfaces must be subcomplexes of the boundary")
-    if interface_a.simplices & interface_b.simplices:
-        raise StructureError("interfaces must be disjoint")
-    iso = _checked_interface_iso(iso, interface_a, interface_b, "first", "second")
-
-    fold = {w: v for v, w in iso.items()}
-    q = {v: fold.get(v, v) for v in A.L.vertices}
-
-    identified = interface_a.simplices | interface_b.simplices
-    images: dict[Simplex, list[Simplex]] = {}
-    for s in A.L.simplices:
-        img_vs = {q[v] for v in s.vertices}
-        if len(img_vs) != len(s.vertices):
-            raise StructureError(f"identification collapses the simplex {s}; subdivide first")
-        images.setdefault(Simplex.of(img_vs), []).append(s)
-    for img, pre in images.items():
-        if len(pre) > 1 and any(p not in identified for p in pre):
-            raise StructureError(
-                f"identification merges simplices outside the interfaces onto {img}; subdivide first"
-            )
-
-    L_new = SimplicialComplex(frozenset(images.keys()))
-    boundary_members = {
-        Simplex.of(q[v] for v in s.vertices)
-        for s in A.K.simplices
-        if s not in identified
-    }
-    K_new = SimplicialComplex.from_simplices(boundary_members)
-    S_new = SimplicialComplex(
-        frozenset(Simplex.of(q[v] for v in s.vertices) for s in A.S.simplices)
-    )
-    data = RelativeCircuitData(L_new, K_new, A.k, S_new)
-    return SelfGlueResult(data, verify_circuit(data), q)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def _load(path: str) -> dict:
         raise MalformedInputError(f"cannot read {path}: {exc}")
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError also covers over-long integers
         raise MalformedInputError(f"{path} does not decode as JSON: {exc}")
 
 

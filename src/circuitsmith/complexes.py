@@ -106,9 +106,6 @@ class Simplex:
     def is_face_of(self, other: "Simplex") -> bool:
         return set(self.vertices) <= set(other.vertices)
 
-    def union(self, other: "Simplex") -> "Simplex":
-        return Simplex.of(set(self.vertices) | set(other.vertices))
-
     def __repr__(self) -> str:
         return f"Simplex{self.vertices}"
 
@@ -243,11 +240,6 @@ class OpenSimplexSet:
         return max((s.dim for s in self.members), default=-1)
 
     @cached_property
-    def is_closed(self) -> bool:
-        """True iff face-closed, i.e. the set is a subcomplex."""
-        return all(f in self.members for s in self.members for f in s.facets())
-
-    @cached_property
     def is_open(self) -> bool:
         """True iff the complement in the host is face-closed."""
         comp = self.host.simplices - self.members
@@ -348,13 +340,6 @@ def build_complex(maximal_simplices: Sequence[Sequence[int]]) -> SimplicialCompl
     return SimplicialComplex.from_simplices(gens)
 
 
-def skeleton(K: SimplicialComplex, i: int) -> SimplicialComplex:
-    """All simplices of dimension at most i (face-closed by construction)."""
-    if i < -1:
-        raise MalformedInputError(f"skeleton dimension must be >= -1, got {i}")
-    return SimplicialComplex(frozenset(s for s in K.simplices if s.dim <= i))
-
-
 def star(S: OpenSimplexSet, K: SimplicialComplex) -> OpenSimplexSet:
     """All simplices of K having some face in S (an open set in |K|)."""
     if S.host is not K and S.host.simplices != K.simplices:
@@ -422,7 +407,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SubdivisionResult:
 
 
 def join_decompose(
-    chain: Sequence[Simplex] | Simplex, r: int, subdivision: SubdivisionResult | None = None
+    chain: Sequence[Simplex], r: int
 ) -> tuple[tuple[Simplex, ...], tuple[Simplex, ...]]:
     """Split a subdivision chain at dimension r.
 
@@ -430,12 +415,7 @@ def join_decompose(
     the join of the two parts reconstitutes the input chain, and the split is
     the unique one with this dimension profile.
     """
-    if isinstance(chain, Simplex):
-        if subdivision is None:
-            raise MalformedInputError("join_decompose on a raw simplex needs the subdivision chart")
-        parts = subdivision.chain_of(chain)
-    else:
-        parts = tuple(sorted(chain, key=lambda t: t.sort_key))
+    parts = tuple(sorted(chain, key=lambda t: t.sort_key))
     for a, b in zip(parts, parts[1:]):
         if not a.is_face_of(b) or a == b:
             raise MalformedInputError(f"not a chain of proper faces: {a} then {b}")
@@ -460,18 +440,6 @@ class ProductResult:
 
     def project_right(self, s: Simplex) -> Simplex:
         return Simplex.of({self.vertex_pairs[v][1] for v in s.vertices})
-
-    @cached_property
-    def projection_left(self) -> SimplicialMap:
-        return SimplicialMap.from_dict(
-            self.complex, self.left, {i: uv[0] for i, uv in self.vertex_pairs.items()}
-        )
-
-    @cached_property
-    def projection_right(self) -> SimplicialMap:
-        return SimplicialMap.from_dict(
-            self.complex, self.right, {i: uv[1] for i, uv in self.vertex_pairs.items()}
-        )
 
     def lift(self, u: int, v: int) -> int:
         return self.pair_ids[(u, v)]
@@ -621,64 +589,3 @@ def relabel(K: SimplicialComplex, mapping: Mapping[int, int]) -> SimplicialCompl
 def offset_labels(K: SimplicialComplex, offset: int) -> tuple[SimplicialComplex, dict[int, int]]:
     mapping = {v: v + offset for v in K.vertices}
     return relabel(K, mapping), mapping
-
-
-def complex_isomorphism(K: SimplicialComplex, L: SimplicialComplex) -> dict[int, int] | None:
-    """A vertex bijection inducing a simplex bijection, or None.
-
-    Backtracking search; intended for the small fixtures used in tests.
-    """
-    if len(K.simplices) != len(L.simplices) or K.dim != L.dim:
-        return None
-
-    def profile(C: SimplicialComplex, v: int) -> tuple:
-        counts = [0] * (C.dim + 1)
-        for s in C.simplices:
-            if v in s.vertices:
-                counts[s.dim] += 1
-        return tuple(counts)
-
-    kv = list(K.vertices)
-    lv = list(L.vertices)
-    if len(kv) != len(lv):
-        return None
-    k_prof = {v: profile(K, v) for v in kv}
-    l_prof = {v: profile(L, v) for v in lv}
-    if sorted(k_prof.values()) != sorted(l_prof.values()):
-        return None
-    kv.sort(key=lambda v: (k_prof[v], v))
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(v: int, w: int) -> bool:
-        for s in K.simplices:
-            if v not in s.vertices:
-                continue
-            if all(u in assignment or u == v for u in s.vertices):
-                img = Simplex.of(assignment.get(u, w) for u in s.vertices)
-                if img not in L.simplices:
-                    return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(kv):
-            mapped = {
-                Simplex.of(assignment[u] for u in s.vertices) for s in K.simplices
-            }
-            return mapped == set(L.simplices)
-        v = kv[i]
-        for w in lv:
-            if w in used or l_prof[w] != k_prof[v]:
-                continue
-            assignment[v] = w
-            used.add(w)
-            if consistent(v, w) and search(i + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
-
-    if search(0):
-        return dict(assignment)
-    return None

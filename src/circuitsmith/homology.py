@@ -416,15 +416,3 @@ def evaluate(
         {s: c for s, c in pushed.coefficients.items() if s not in A.simplices},
     )
     return homology(a.target, A).coordinates(relative)
-
-
-def connecting_coordinates(
-    H_pair: HomologyResult, H_sub: HomologyResult, z: IntChain
-) -> Coordinates:
-    """Image of a relative cycle under the connecting map: coordinates of its
-    boundary inside the subcomplex."""
-    bz = chain_boundary(z)
-    stray = [s for s in bz.support if s not in H_pair.A.simplices]
-    if stray:
-        raise ContractError("chain boundary is not carried by the subcomplex")
-    return H_sub.coordinates(bz)

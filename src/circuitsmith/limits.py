@@ -112,14 +112,6 @@ def is_proper(f: CompactifiedMap) -> bool:
     return limit_set(f).is_empty
 
 
-def equal_at_infinity(f: CompactifiedMap, h: CompactifiedMap) -> bool:
-    """Extensions agree on every puncture vertex (hence on the whole puncture
-    set, by affineness).  Equal-at-infinity maps have equal limit sets."""
-    if not f.domain.same_as(h.domain) or not f.target.same_as(h.target):
-        raise StructureError("equality at infinity needs a common domain and target")
-    return all(f.g.apply_vertex(v) == h.g.apply_vertex(v) for v in f.domain.S.vertices)
-
-
 def is_surjective(f: CompactifiedMap) -> bool:
     """Every open simplex of the target space is an image of an open simplex
     of the domain space."""
@@ -198,16 +190,3 @@ def preimage_restrict(f: CompactifiedMap, A: SimplicialComplex) -> CompactifiedM
         raise StructureError("preimage restriction needs a subcomplex of the target")
     pre = frozenset(s for s in f.domain.W.simplices if f.apply(s) in A.simplices)
     return restrict_closed(f, SimplicialComplex(pre))
-
-
-def is_pair_isomorphism(f: CompactifiedMap) -> bool:
-    """Vertex-injective extension matching punctures to punctures; such maps
-    restrict to homeomorphisms of the represented spaces and are proper."""
-    if not f.g.is_vertex_injective():
-        return False
-    if len(f.domain.W.vertices) != len(f.target.W.vertices):
-        return False
-    image = {f.apply(s) for s in f.domain.W.simplices}
-    if image != set(f.target.W.simplices):
-        return False
-    return {f.apply(s) for s in f.domain.S.simplices} == set(f.target.S.simplices)

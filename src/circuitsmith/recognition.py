@@ -115,62 +115,6 @@ def _classified(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
 
 
 @dataclass(frozen=True)
-class ManifoldReport:
-    classification: dict[Simplex, PointClass]
-    non_manifold_subcomplex: SimplicialComplex
-    exact: bool
-
-
-def non_manifold_set(K: SimplicialComplex) -> ManifoldReport:
-    """Per-simplex classification and the (face-closed) non-manifold locus."""
-    k = K.dim
-    classification = {s: _classified(s, K, k) for s in K.sorted_simplices}
-    bad = [s for s, c in classification.items() if c is PointClass.NON_MANIFOLD]
-    sub = SimplicialComplex.from_simplices(bad)
-    exact = all(c is not PointClass.UNKNOWN for c in classification.values())
-    return ManifoldReport(classification, sub, exact)
-
-
-@dataclass(frozen=True)
-class PseudomanifoldReport:
-    k: int
-    pure: bool
-    purity_witnesses: tuple[Simplex, ...]
-    facet_incidence_ok: bool
-    incidence_witnesses: tuple[Simplex, ...]
-    strongly_connected: bool
-    component_count: int
-
-    @property
-    def passed(self) -> bool:
-        return self.pure and self.facet_incidence_ok
-
-
-def pseudomanifold_check(K: SimplicialComplex, k: int) -> PseudomanifoldReport:
-    """Purity, facet incidence at most two, and strong connectivity."""
-    tops = K.simplices_of_dim(k)
-    purity_witnesses = tuple(s for s in K.maximal_simplices if s.dim != k)
-    facet_count: dict[Simplex, list[Simplex]] = {}
-    for t in tops:
-        for f in t.facets():
-            facet_count.setdefault(f, []).append(t)
-    incidence_witnesses = tuple(
-        sorted((f for f, ts in facet_count.items() if len(ts) > 2), key=lambda s: s.sort_key)
-    )
-    # Strong connectivity: top simplices linked through shared facets.
-    components = _components(tops, (p for ts in facet_count.values() for p in zip(ts, ts[1:])))
-    return PseudomanifoldReport(
-        k=k,
-        pure=not purity_witnesses,
-        purity_witnesses=purity_witnesses,
-        facet_incidence_ok=not incidence_witnesses,
-        incidence_witnesses=incidence_witnesses,
-        strongly_connected=components <= 1,
-        component_count=components,
-    )
-
-
-@dataclass(frozen=True)
 class RegionReport:
     verdict: RegionVerdict
     witness: Simplex | None

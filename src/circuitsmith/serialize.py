@@ -196,19 +196,6 @@ def open_set_to_json(u: OpenSimplexSet) -> dict:
     return {"simplices": simplices_to_json(u.members), "dim": u.dim}
 
 
-def manifold_report_to_json(report) -> dict:
-    return {
-        "exact": report.exact,
-        "non_manifold": simplices_to_json(report.non_manifold_subcomplex.simplices),
-        "by_simplex": {
-            ",".join(str(v) for v in s.vertices): c.value
-            for s, c in sorted(
-                report.classification.items(), key=lambda sc: sc[0].sort_key
-            )
-        },
-    }
-
-
 def chain_to_json(z: IntChain) -> dict:
     return {
         "degree": z.degree,

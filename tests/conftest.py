@@ -60,6 +60,17 @@ def projective_plane():
 
 
 @pytest.fixture
+def klein_bottle():
+    """The annulus over the triangle boundary and a path of three edges,
+    its two end circles identified through a reflection."""
+    return build_complex(
+        [[0, 1, 4], [0, 1, 7], [0, 2, 3], [0, 2, 6], [0, 3, 4], [0, 6, 7],
+         [1, 2, 5], [1, 2, 8], [1, 4, 5], [1, 7, 8], [2, 3, 8], [2, 5, 6],
+         [3, 4, 7], [3, 5, 6], [3, 5, 8], [3, 6, 7], [4, 5, 8], [4, 7, 8]]
+    )
+
+
+@pytest.fixture
 def hexagon():
     return build_complex([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]])
 

@@ -8,11 +8,14 @@ import random
 from circuitsmith import (
     CompactifiedMap,
     PuncturedComplex,
+    RelativeCircuitData,
     Simplex,
     SimplicialComplex,
     SimplicialMap,
     build_complex,
+    glue,
 )
+from circuitsmith.circuits import GlueResult
 
 
 def random_complex(
@@ -48,6 +51,17 @@ def random_punctured(rng: random.Random, **kwargs) -> PuncturedComplex:
     picked = [s for s in pool if rng.random() < 0.35]
     S = SimplicialComplex.from_simplices(picked) if picked else SimplicialComplex.empty()
     return PuncturedComplex(W, S)
+
+
+def skeleton(K: SimplicialComplex, i: int) -> SimplicialComplex:
+    """All simplices of dimension at most i."""
+    return SimplicialComplex(frozenset(s for s in K.simplices if s.dim <= i))
+
+
+def disjoint_union(A: RelativeCircuitData, B: RelativeCircuitData) -> GlueResult:
+    """A and B glued along nothing, B relabelled past the vertices of A."""
+    empty = SimplicialComplex.empty()
+    return glue(A, B, empty, empty, {}, reverse_orientation=False)
 
 
 def full_simplex(m: int, offset: int = 0) -> SimplicialComplex:

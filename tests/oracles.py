@@ -8,10 +8,14 @@ no code with the library implementation.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from circuitsmith import (
     CompactifiedMap,
+    Coordinates,
+    HomologyResult,
+    IntChain,
     OpenSimplexSet,
     PointClass,
     PseudocycleCertificate,
@@ -19,6 +23,8 @@ from circuitsmith import (
     Simplex,
     SimplicialComplex,
     SimplicialMap,
+    chain_boundary,
+    classify_point,
     limit_set,
     restrict_closed,
 )
@@ -167,6 +173,73 @@ def oracle_homology(
     return betti, torsion
 
 
+def connecting_coordinates(
+    H_pair: HomologyResult, H_sub: HomologyResult, z: IntChain
+) -> Coordinates:
+    """Image of a relative cycle under the connecting map: coordinates of its
+    boundary inside the subcomplex."""
+    bz = chain_boundary(z)
+    assert bz.support <= H_pair.A.simplices, "chain boundary is not carried by the subcomplex"
+    return H_sub.coordinates(bz)
+
+
+def complex_isomorphism(K: SimplicialComplex, L: SimplicialComplex) -> dict[int, int] | None:
+    """A vertex bijection inducing a simplex bijection, or None; a
+    backtracking search for small fixtures."""
+    if len(K.simplices) != len(L.simplices) or K.dim != L.dim:
+        return None
+
+    def profile(C: SimplicialComplex, v: int) -> tuple:
+        counts = [0] * (C.dim + 1)
+        for s in C.simplices:
+            if v in s.vertices:
+                counts[s.dim] += 1
+        return tuple(counts)
+
+    kv = list(K.vertices)
+    lv = list(L.vertices)
+    if len(kv) != len(lv):
+        return None
+    k_prof = {v: profile(K, v) for v in kv}
+    l_prof = {v: profile(L, v) for v in lv}
+    if sorted(k_prof.values()) != sorted(l_prof.values()):
+        return None
+    kv.sort(key=lambda v: (k_prof[v], v))
+
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
+
+    def consistent(v: int, w: int) -> bool:
+        for s in K.simplices:
+            if v not in s.vertices:
+                continue
+            if all(u in assignment or u == v for u in s.vertices):
+                img = Simplex.of(assignment.get(u, w) for u in s.vertices)
+                if img not in L.simplices:
+                    return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == len(kv):
+            mapped = {
+                Simplex.of(assignment[u] for u in s.vertices) for s in K.simplices
+            }
+            return mapped == set(L.simplices)
+        v = kv[i]
+        for w in lv:
+            if w in used or l_prof[w] != k_prof[v]:
+                continue
+            assignment[v] = w
+            used.add(w)
+            if consistent(v, w) and search(i + 1):
+                return True
+            del assignment[v]
+            used.discard(w)
+        return False
+
+    return dict(assignment) if search(0) else None
+
+
 def assert_face_closed(K: SimplicialComplex, what: str = "complex") -> None:
     """Every facet of every simplex of K is again a simplex of K."""
     missing = [(f, s) for s in K.simplices for f in s.facets() if f not in K.simplices]
@@ -289,6 +362,22 @@ def oracle_point_class(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
     if ell == 2:
         return _surface_class(lk)
     return _screen(lk, ell)
+
+
+@dataclass(frozen=True)
+class ManifoldReport:
+    classification: dict[Simplex, PointClass]
+    non_manifold_subcomplex: SimplicialComplex
+    exact: bool
+
+
+def non_manifold_set(K: SimplicialComplex) -> ManifoldReport:
+    """Per-simplex ``classify_point`` in the dimension of K, and the
+    face-closed non-manifold locus."""
+    classification = {s: classify_point(s, K, K.dim) for s in K.sorted_simplices}
+    bad = [s for s, c in classification.items() if c is PointClass.NON_MANIFOLD]
+    exact = PointClass.UNKNOWN not in classification.values()
+    return ManifoldReport(classification, SimplicialComplex.from_simplices(bad), exact)
 
 
 def _compactified_carrier(

@@ -10,14 +10,10 @@ from circuitsmith import (
     barycentric_subdivision,
     boundary_circuit,
     build_complex,
-    complex_isomorphism,
     cw_dimension_bound,
     cylinder,
-    default_singular_set,
-    disjoint_union_circuits,
     glue,
     product_complex,
-    self_glue,
     singular_set,
     skeleton_complement_inclusions,
     subdivision_bordism,
@@ -25,10 +21,13 @@ from circuitsmith import (
     verify_manifold_complement,
     verify_nullbordism,
 )
-from circuitsmith.circuits import SingularSet, self_glue
-from circuitsmith.errors import ContractError, StructureError
+from circuitsmith.circuits import SingularSet
+from circuitsmith.complexes import relabel
+from circuitsmith.errors import ContractError, MapError, StructureError
 
 from .conftest import simplex_boundary_complex
+from .generators import disjoint_union
+from .oracles import complex_isomorphism
 
 
 def subdivided_disk():
@@ -81,11 +80,6 @@ class TestVerifyCircuit:
         data = RelativeCircuitData.closed(SimplicialComplex.empty(), 1)
         assert verify_circuit(data).valid
 
-    def test_default_singular_set_fixes_the_wedge(self, wedge_spheres):
-        S = default_singular_set(wedge_spheres, SimplicialComplex.empty(), 2)
-        assert S.simplices == frozenset({Simplex((3,))})
-        assert verify_circuit(RelativeCircuitData.closed(wedge_spheres, 2, S)).valid
-
     def test_four_circuit_reports_unknown(self):
         # vertex links are three-dimensional, beyond exact recognition
         data = RelativeCircuitData.closed(simplex_boundary_complex(5), 4)
@@ -97,7 +91,7 @@ class TestVerifyCircuit:
 class TestBoundaryCircuit:
     def test_disk_boundary_is_circle(self, disk_pair):
         b = boundary_circuit(disk_pair)
-        assert b.k == 1 and b.is_closed_circuit
+        assert b.k == 1 and not b.K.simplices
         assert verify_circuit(b).valid
 
     def test_closed_circuit_has_empty_boundary(self, sphere_circuit):
@@ -295,8 +289,6 @@ class TestGlue:
         left, _ = subdivided_disk()
         offset = max(left.L.vertices) + 1
         mapping = {v: v + offset for v in left.L.vertices}
-        from circuitsmith.complexes import relabel
-
         right = RelativeCircuitData(
             relabel(left.L, mapping), relabel(left.K, mapping), 2, SimplicialComplex.empty()
         )
@@ -307,7 +299,7 @@ class TestGlue:
         left, right, iso = self.two_subdivided_disks()
         result = glue(left, right, left.K, right.K, iso)
         assert result.verdict.valid
-        assert result.data.is_closed_circuit
+        assert not result.data.K.simplices
         assert result.data.L.euler_characteristic == 2
 
     def test_collapsing_identification_rejected(self, disk_pair):
@@ -326,13 +318,11 @@ class TestGlue:
         broken = dict(iso)
         # swap two image vertices so edges stop matching edges
         broken[keys[0]], broken[keys[-1]] = broken[keys[-1]], broken[keys[0]]
-        from circuitsmith.errors import MapError
-
         with pytest.raises(MapError):
             glue(left, right, left.K, right.K, broken)
 
     def test_glue_along_empty_is_disjoint_union(self, sphere_circuit):
-        result = disjoint_union_circuits(sphere_circuit, sphere_circuit)
+        result = disjoint_union(sphere_circuit, sphere_circuit)
         assert result.verdict.valid
         assert len(result.data.L) == 2 * len(sphere_circuit.L)
         assert result.data.L.euler_characteristic == 4
@@ -340,8 +330,17 @@ class TestGlue:
     def test_glue_then_cut_recovers_inputs(self):
         left, right, iso = self.two_subdivided_disks()
         result = glue(left, right, left.K, right.K, iso)
-        assert complex_isomorphism(result.image_of_left(), left.L) is not None
-        assert complex_isomorphism(result.image_of_right(), right.L) is not None
+        image_left = relabel(left.L, result.left_vertex_map)
+        image_right = relabel(right.L, result.right_vertex_map)
+        assert image_left.simplices == left.L.simplices
+        assert image_left.union(image_right).simplices == result.data.L.simplices
+        assert image_left.intersection(image_right).simplices == left.K.simplices
+
+    def test_glue_rejects_iso_off_the_left_interface(self):
+        left, right, iso = self.two_subdivided_disks()
+        del iso[min(iso)]
+        with pytest.raises(MapError, match="exactly on the left interface vertices"):
+            glue(left, right, left.K, right.K, iso)
 
     def test_glue_is_associative_up_to_isomorphism(self):
         # three arcs glued end to end, in both association orders
@@ -371,50 +370,6 @@ class TestGlue:
             {2: right_first.left_vertex_map[10]},
         )
         assert complex_isomorphism(lf.data.L, rf.data.L) is not None
-
-    @staticmethod
-    def torus_fixture(triangle_boundary):
-        """An annulus with its two end circles and the iso folding one onto
-        the other."""
-        path3 = build_complex([[0, 1], [1, 2], [2, 3]])
-        pr = product_complex(triangle_boundary, path3)
-        level = lambda s: pr.project_right(s)
-        end0 = SimplicialComplex(
-            frozenset(s for s in pr.complex.simplices if level(s) == Simplex((0,)))
-        )
-        end3 = SimplicialComplex(
-            frozenset(s for s in pr.complex.simplices if level(s) == Simplex((3,)))
-        )
-        annulus = RelativeCircuitData(pr.complex, end0.union(end3), 2, SimplicialComplex.empty())
-        iso = {pr.lift(v, 0): pr.lift(v, 3) for v in triangle_boundary.vertices}
-        return annulus, end0, end3, iso
-
-    def test_torus_from_self_glued_cylinder(self, triangle_boundary):
-        annulus, end0, end3, iso = self.torus_fixture(triangle_boundary)
-        assert verify_circuit(annulus).valid
-        result = self_glue(annulus, end0, end3, iso)
-        assert result.verdict.valid
-        assert result.data.is_closed_circuit
-        assert result.data.L.euler_characteristic == 0
-
-    def test_self_glue_rejects_non_simplicial_iso(self, triangle_boundary):
-        from circuitsmith.errors import MapError
-
-        annulus, end0, end3, iso = self.torus_fixture(triangle_boundary)
-        # same vertices, one edge fewer: the iso sends an edge to a non-edge
-        arc = SimplicialComplex.from_simplices(end3.simplices_of_dim(1)[:2])
-        assert arc.vertices == end3.vertices
-        with pytest.raises(MapError, match="not a simplicial isomorphism"):
-            self_glue(annulus, end0, arc, iso)
-
-    def test_self_glue_rejects_iso_off_the_first_interface(self, triangle_boundary):
-        from circuitsmith.errors import MapError
-
-        annulus, end0, end3, iso = self.torus_fixture(triangle_boundary)
-        partial = dict(iso)
-        del partial[min(partial)]
-        with pytest.raises(MapError, match="exactly on the first interface vertices"):
-            self_glue(annulus, end0, end3, partial)
 
 
 class TestCylinder:

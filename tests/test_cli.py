@@ -247,7 +247,11 @@ class TestObjectLoaders:
         "verify-cert": (["verify-cert", "cert"], "cert"),
     }
 
-    @pytest.mark.parametrize("kind", ["missing", "not-json", "too-deep"])
+    # A vertex id of 5 000 digits is past the length up to which Python
+    # converts a string to an integer, so decoding the file raises.
+    TEXTS = {"not-json": "{not json", "too-deep": "[" * 100_000, "huge-int": f"[[{'7' * 5000}]]"}
+
+    @pytest.mark.parametrize("kind", ["missing", *TEXTS])
     @pytest.mark.parametrize("case", sorted(UNREADABLE))
     def test_unreadable_file(self, capsys, tmp_path, case, kind):
         argv, bad = self.UNREADABLE[case]
@@ -255,8 +259,7 @@ class TestObjectLoaders:
         if kind == "missing":
             (tmp_path / f"{bad}.json").unlink()
         else:
-            text = "{not json" if kind == "not-json" else "[" * 100_000
-            (tmp_path / f"{bad}.json").write_text(text)
+            (tmp_path / f"{bad}.json").write_text(self.TEXTS[kind])
         TestHomologyLoader.assert_json_error(capsys, [paths.get(a, a) for a in argv])
 
     WITH_OUT = {

@@ -17,21 +17,26 @@ from circuitsmith import (
     boundary_circuit,
     build_complex,
     chain_boundary,
-    disjoint_union_circuits,
     evaluate,
     fundamental_class,
     homology,
     induced_boundary_orientation,
     orient_circuit,
     pushforward,
+    verify_circuit,
 )
 from circuitsmith.errors import ContractError, OrientationError, ResourceLimitError
-from circuitsmith.homology import connecting_coordinates
 from circuitsmith.snf import smith_diagonal, smith_normal_form
 
 from .conftest import simplex_boundary_complex
-from .generators import random_complex, random_subcomplex
-from .oracles import mat_mul, oracle_boundary_matrix, oracle_homology, oracle_inverse
+from .generators import disjoint_union, random_complex, random_subcomplex
+from .oracles import (
+    connecting_coordinates,
+    mat_mul,
+    oracle_boundary_matrix,
+    oracle_homology,
+    oracle_inverse,
+)
 
 
 def kept_generators(H, k):
@@ -319,27 +324,13 @@ class TestHomology:
         assert H.betti_numbers() == (1, 2, 1)
         assert not H.torsion(1)
 
-    def test_klein_bottle_from_reversed_gluing(self, triangle_boundary):
-        from circuitsmith import RelativeCircuitData, product_complex
-        from circuitsmith.circuits import self_glue
-
-        path3 = build_complex([[0, 1], [1, 2], [2, 3]])
-        pr = product_complex(triangle_boundary, path3)
-        end0 = SimplicialComplex(
-            frozenset(s for s in pr.complex.simplices if pr.project_right(s) == Simplex((0,)))
-        )
-        end3 = SimplicialComplex(
-            frozenset(s for s in pr.complex.simplices if pr.project_right(s) == Simplex((3,)))
-        )
-        annulus = RelativeCircuitData(pr.complex, end0.union(end3), 2, SimplicialComplex.empty())
-        reflect = {0: 0, 1: 2, 2: 1}
-        iso = {pr.lift(v, 0): pr.lift(reflect[v], 3) for v in triangle_boundary.vertices}
-        klein = self_glue(annulus, end0, end3, iso)
-        assert klein.verdict.valid
-        H = homology(klein.data.L)
+    def test_klein_bottle_from_reversed_gluing(self, klein_bottle):
+        klein = RelativeCircuitData.closed(klein_bottle, 2)
+        assert verify_circuit(klein).valid
+        H = homology(klein.L)
         assert H.betti_numbers() == (1, 1, 0)
         assert H.torsion(1) == (2,)
-        o = orient_circuit(klein.data)
+        o = orient_circuit(klein)
         assert not o.orientable
         assert o.witness_cycle
 
@@ -456,7 +447,7 @@ class TestOrientation:
             fundamental_class(data, o)
 
     def test_disjoint_union_components_oriented_independently(self, sphere_circuit):
-        union = disjoint_union_circuits(sphere_circuit, sphere_circuit).data
+        union = disjoint_union(sphere_circuit, sphere_circuit).data
         o = orient_circuit(union)
         assert o.orientable
         assert len(o.signs) == 8

@@ -18,7 +18,6 @@ from circuitsmith import (
     boundary_circuit,
     build_complex,
     cylinder,
-    disjoint_union_circuits,
     homology,
     psi,
     subdivision_bordism,
@@ -27,7 +26,6 @@ from circuitsmith import (
 )
 from circuitsmith import recognition
 from circuitsmith.errors import PipelineError
-from circuitsmith.homology import connecting_coordinates
 from circuitsmith.serialize import (
     bordism_certificate_to_json,
     dumps,
@@ -36,8 +34,8 @@ from circuitsmith.serialize import (
 )
 
 from .conftest import simplex_boundary_complex
-from .generators import full_simplex, stellar_sphere
-from .oracles import assert_carriers_are_limit_sets
+from .generators import disjoint_union, full_simplex, stellar_sphere
+from .oracles import assert_carriers_are_limit_sets, connecting_coordinates
 
 
 def subdivided_disk_pair():
@@ -147,7 +145,7 @@ class TestPsi:
     def test_additivity_on_disjoint_union(self, sphere_circuit):
         target = TargetPair.absolute(sphere_circuit.L)
         cert_single = psi(sphere_circuit, SimplicialMap.identity(sphere_circuit.L), target)
-        union = disjoint_union_circuits(sphere_circuit, sphere_circuit)
+        union = disjoint_union(sphere_circuit, sphere_circuit)
         fold_vm = {}
         for v, w in union.left_vertex_map.items():
             fold_vm[w] = v

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,6 @@ from circuitsmith import (
     build_complex,
     classify_point,
     homology,
-    non_manifold_set,
-    pseudomanifold_check,
     region_is_pl_manifold,
     star,
 )
@@ -22,7 +21,7 @@ from circuitsmith.errors import ContractError, NotFoundError
 
 from .conftest import simplex_boundary_complex
 from .generators import random_complex, random_subcomplex, stellar_sphere
-from .oracles import oracle_point_class
+from .oracles import non_manifold_set, oracle_point_class
 
 
 class TestClassifyPoint:
@@ -106,7 +105,9 @@ class TestOracleAgreement:
         spheres = [[0, 7, 8], [0, 7, 9], [0, 8, 9], [7, 8, 9],
                    [0, 10, 11], [0, 10, 12], [0, 11, 12], [10, 11, 12]]
         wedge = build_complex(torus + spheres)
-        assert pseudomanifold_check(wedge, 2).passed
+        assert all(t.dim == 2 for t in wedge.maximal_simplices)
+        ridges = Counter(f for t in wedge.simplices_of_dim(2) for f in t.facets())
+        assert set(ridges.values()) == {2}
         assert wedge.euler_characteristic == 2
         assert homology(wedge).betti_numbers()[0] == 1
         cone = build_complex([t + [13] for t in torus + spheres])
@@ -145,34 +146,6 @@ class TestNonManifoldSet:
                 for f in s.facets():
                     assert report.classification[f] is PointClass.NON_MANIFOLD
             assert bad <= report.non_manifold_subcomplex.simplices
-
-
-class TestPseudomanifoldCheck:
-    def test_sphere_passes(self, tetra_boundary):
-        report = pseudomanifold_check(tetra_boundary, 2)
-        assert report.passed and report.strongly_connected
-
-    def test_dangling_edge_fails_purity(self):
-        K = build_complex([[0, 1, 2], [2, 3]])
-        report = pseudomanifold_check(K, 2)
-        assert not report.pure
-        assert Simplex((2, 3)) in report.purity_witnesses
-
-    def test_three_triangles_fail_incidence(self):
-        K = build_complex([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        report = pseudomanifold_check(K, 2)
-        assert not report.facet_incidence_ok
-        assert report.incidence_witnesses == (Simplex((0, 1)),)
-
-    def test_disjoint_spheres_not_strongly_connected(self):
-        K = build_complex(
-            [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3],
-             [4, 5, 6], [4, 5, 7], [4, 6, 7], [5, 6, 7]]
-        )
-        report = pseudomanifold_check(K, 2)
-        assert report.passed
-        assert not report.strongly_connected
-        assert report.component_count == 2
 
 
 class TestRegion:
@@ -247,9 +220,8 @@ class TestClassificationMemo:
         first = region_is_pl_manifold(U, 2)
         assert len(calls) == len(U)
         assert region_is_pl_manifold(U, 2) == first
-        assert non_manifold_set(wedge_spheres).classification[Simplex((3,))] is (
-            PointClass.NON_MANIFOLD
-        )
+        whole = region_is_pl_manifold(OpenSimplexSet.whole(wedge_spheres), 2)
+        assert whole.classification[Simplex((3,))] is PointClass.NON_MANIFOLD
         assert len(calls) == len(wedge_spheres)
         assert len(set(calls)) == len(calls)
 
@@ -264,7 +236,8 @@ class TestClassificationMemo:
             return plain(s, K)
 
         monkeypatch.setattr(recognition, "link", counted)
-        assert non_manifold_set(four_simplex_boundary).exact
+        U = OpenSimplexSet.whole(four_simplex_boundary)
+        assert region_is_pl_manifold(U, 3).verdict is RegionVerdict.YES
         assert sorted(links) == list(four_simplex_boundary.sorted_simplices)
 
     def test_memo_is_per_host_object(self, tetra_boundary):
@@ -272,17 +245,6 @@ class TestClassificationMemo:
         region_is_pl_manifold(OpenSimplexSet.whole(tetra_boundary), 2)
         assert tetra_boundary._point_classes
         assert "_point_classes" not in vars(twin)
-
-
-class TestReportSerialization:
-    def test_manifold_report_json_shape(self, wedge_spheres):
-        from circuitsmith.serialize import manifold_report_to_json
-
-        payload = manifold_report_to_json(non_manifold_set(wedge_spheres))
-        assert payload["exact"] is True
-        assert payload["non_manifold"] == [[3]]
-        assert payload["by_simplex"]["3"] == "non-manifold"
-        assert payload["by_simplex"]["0"] == "interior-manifold"
 
 
 class TestUnknownScreening:
@@ -316,7 +278,6 @@ class TestExactnessGuarantee:
     def test_clean_pseudomanifolds_are_manifold_regions(self):
         for n in (2, 3, 4):
             K = simplex_boundary_complex(n)
-            assert pseudomanifold_check(K, n - 1).passed
             assert not non_manifold_set(K).non_manifold_subcomplex.simplices
             report = region_is_pl_manifold(OpenSimplexSet.whole(K), n - 1)
             assert report.verdict is RegionVerdict.YES
@@ -330,7 +291,6 @@ class TestExactnessGuarantee:
         ).complex
         surfaces.append(torus)
         for K in surfaces:
-            assert pseudomanifold_check(K, 2).passed
             assert not non_manifold_set(K).non_manifold_subcomplex.simplices
             report = region_is_pl_manifold(OpenSimplexSet.whole(K), 2)
             assert report.verdict is RegionVerdict.YES

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -114,3 +115,52 @@ def test_no_assert_statements():
     # vanishes; the package raises typed errors instead.
     found = {p.name: _assert_lines(p) for p in FILES if p.suffix == ".py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+
+def _public_names(path, tree):
+    """Public top-level defs and classes of one module, with their nodes;
+    for ``__init__.py``, the names it imports."""
+    if path.name == "__init__.py":
+        return {a.asname or a.name: None for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _references(tree):
+    """How often each name is read in a tree.  String constants count too,
+    because the bench tracer looks functions up by name."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+REPO = PACKAGE.parent.parent
+CALLERS = [*sorted((REPO / "bench").glob("*.py")), REPO / "tests" / "test_acceptance.py"]
+
+
+def test_public_names_have_callers():
+    # A public name earns its place when the pipeline or the CLI (the package
+    # outside the name's own definition and ``__init__.py``), the bench or the
+    # acceptance gates use it.  A tool only tests use lives in the tests.
+    modules = {p: ast.parse(p.read_text()) for p in FILES if p.suffix == ".py"}
+    used = sum((_references(ast.parse(p.read_text())) for p in CALLERS), Counter())
+    used += sum((_references(t) for p, t in modules.items() if p.name != "__init__.py"), Counter())
+    uncalled = [
+        f"{path.name}:{name}"
+        for path, tree in modules.items()
+        for name, node in _public_names(path, tree).items()
+        if used[name] - (_references(node)[name] if node else 0) <= 0
+    ]
+    assert sorted(uncalled) == []
