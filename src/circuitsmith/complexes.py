@@ -5,9 +5,15 @@ tuples, and complexes are face-closed finite sets of simplices.  All values
 are immutable after construction and every operation is a pure function, so
 results may be computed concurrently and are deterministic.
 
+A simplex is validated once, where it enters: the public ``Simplex``
+constructor, ``Simplex.of``, ``build_complex`` and the loaders.  Faces and
+link simplices cut from a valid simplex are valid by construction and are
+built unchecked.
+
 Each complex indexes itself on first use: for each vertex, the simplices
 that contain it.  Links, stars and subdivision chains walk the cofaces of a
-simplex through that index instead of scanning the whole complex.
+simplex through that index, reading them off the smallest star among its
+vertices, instead of scanning the whole complex.
 """
 
 from __future__ import annotations
@@ -66,6 +72,14 @@ class Simplex:
             raise MalformedInputError(f"vertices must be strictly increasing, got {vs}")
 
     @classmethod
+    def _trusted(cls, vs: tuple[int, ...]) -> "Simplex":
+        """A simplex on vs without validation.  Only for tuples that are valid
+        by construction, such as a subtuple of a valid simplex's vertices."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "vertices", vs)
+        return s
+
+    @classmethod
     def of(cls, vertices: Iterable[int]) -> "Simplex":
         """Canonicalize an unordered, duplicate-free vertex collection."""
         vs = tuple(vertices)
@@ -95,13 +109,13 @@ class Simplex:
         if self.dim == 0:
             return []
         vs = self.vertices
-        return [Simplex(vs[:i] + vs[i + 1 :]) for i in range(len(vs))]
+        return [Simplex._trusted(vs[:i] + vs[i + 1 :]) for i in range(len(vs))]
 
     def faces(self, include_self: bool = True) -> list["Simplex"]:
         """All nonempty faces."""
         vs = self.vertices
         stop = len(vs) + 1 if include_self else len(vs)
-        return [Simplex(c) for r in range(1, stop) for c in itertools.combinations(vs, r)]
+        return [Simplex._trusted(c) for r in range(1, stop) for c in itertools.combinations(vs, r)]
 
     def is_face_of(self, other: "Simplex") -> bool:
         return set(self.vertices) <= set(other.vertices)
@@ -165,10 +179,6 @@ class SimplicialComplex:
         return tuple(s for s in self.sorted_simplices if s.vertices not in covered)
 
     @cached_property
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** s.dim for s in self.simplices)
-
-    @cached_property
     def _vertex_stars(self) -> dict[int, list[Simplex]]:
         """The index: for each vertex, the simplices that contain it."""
         stars: dict[int, list[Simplex]] = {}
@@ -179,13 +189,16 @@ class SimplicialComplex:
 
     def _cofaces(self, s: Simplex) -> list[Simplex]:
         """The simplices of self that contain s, s included, read off the
-        star of its first vertex (for a vertex, the index's own list)."""
-        first, *rest = s.vertices
-        star = self._vertex_stars.get(first, [])
-        if not rest:
-            return star
-        n = len(s.vertices)
-        return [t for t in star if len(t.vertices) >= n and all(v in t.vertices for v in rest)]
+        smallest star among its vertices (for a vertex, the index's own
+        list)."""
+        sv = s.vertices
+        stars = self._vertex_stars
+        if len(sv) == 1:
+            return stars.get(sv[0], [])
+        star = min([stars.get(v, []) for v in sv], key=len)
+        n = len(sv)
+        need = set(sv)
+        return [t for t in star if len(t.vertices) >= n and need.issubset(t.vertices)]
 
     @cached_property
     def _point_classes(self) -> dict:
@@ -230,10 +243,6 @@ class OpenSimplexSet:
     @classmethod
     def of(cls, host: SimplicialComplex, members: Iterable[Simplex]) -> "OpenSimplexSet":
         return cls(host, frozenset(members))
-
-    @classmethod
-    def whole(cls, host: SimplicialComplex) -> "OpenSimplexSet":
-        return cls(host, frozenset(host.simplices))
 
     @cached_property
     def dim(self) -> int:
@@ -362,7 +371,7 @@ def link(s: Simplex, K: SimplicialComplex) -> SimplicialComplex:
     sv = s.vertices
     n = len(sv)
     return SimplicialComplex(frozenset(
-        Simplex(tuple(v for v in t.vertices if v not in sv))
+        Simplex._trusted(tuple([v for v in t.vertices if v not in sv]))
         for t in K._cofaces(s)
         if len(t.vertices) > n
     ))

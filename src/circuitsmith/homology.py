@@ -60,9 +60,6 @@ class IntChain:
     def __sub__(self, other: "IntChain") -> "IntChain":
         return self + (-other)
 
-    def scale(self, c: int) -> "IntChain":
-        return IntChain(self.degree, {s: c * v for s, v in self.coefficients.items()})
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntChain)

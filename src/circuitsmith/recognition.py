@@ -68,38 +68,44 @@ def classify_point(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
     """
     if s not in K.simplices:
         raise NotFoundError(f"{s} is not a simplex of the complex")
-    lk = link(s, K)
-    if not lk.simplices:
+    faces = [t.vertices for t in link(s, K).simplices]
+    if not faces:
         return PointClass.INTERIOR_MANIFOLD if s.dim == k else PointClass.NON_MANIFOLD
     ell = k - s.dim - 1
-    if lk.dim != ell:
+    if max(map(len, faces)) != ell + 1:
         return PointClass.NON_MANIFOLD
     if ell == 0:
-        n = len(lk.vertices)
+        n = len(faces)
         if n == 2:
             return PointClass.INTERIOR_MANIFOLD
         if n == 1:
             return PointClass.BOUNDARY_MANIFOLD
         return PointClass.NON_MANIFOLD
-    tops = lk.maximal_simplices
-    if any(t.dim != ell for t in tops):
+    # In a face-closed complex, a simplex with a proper coface is a facet of
+    # some simplex, so the link is pure when every lower simplex is a facet.
+    covered = {t[:i] + t[i + 1 :] for t in faces for i in range(len(t))}
+    if any(len(t) <= ell and t not in covered for t in faces):
         return PointClass.NON_MANIFOLD
-    ridge_count: dict[Simplex, int] = {}
-    for t in tops:
-        for f in t.facets():
-            ridge_count[f] = ridge_count.get(f, 0) + 1
+    ridge_count: dict[tuple[int, ...], int] = {}
+    for t in faces:
+        if len(t) == ell + 1:
+            for i in range(ell + 1):
+                f = t[:i] + t[i + 1 :]
+                ridge_count[f] = ridge_count.get(f, 0) + 1
     if any(n > 2 for n in ridge_count.values()):
         return PointClass.NON_MANIFOLD
-    if _components(lk.vertices, (e.vertices for e in lk.simplices_of_dim(1))) != 1:
+    vertices = sorted(t[0] for t in faces if len(t) == 1)
+    if _components(vertices, (t for t in faces if len(t) == 2)) != 1:
         return PointClass.NON_MANIFOLD
     has_boundary = 1 in ridge_count.values()
-    if lk.euler_characteristic != (1 if has_boundary else 1 + (-1) ** ell):
+    euler = sum(1 if len(t) % 2 else -1 for t in faces)
+    if euler != (1 if has_boundary else 1 + (-1) ** ell):
         return PointClass.NON_MANIFOLD
     if ell >= 3:
         return PointClass.UNKNOWN
     if ell == 2 and any(
         _classified(Simplex.of(s.vertices + (w,)), K, k) is PointClass.NON_MANIFOLD
-        for w in lk.vertices
+        for w in vertices
     ):
         return PointClass.NON_MANIFOLD
     return PointClass.BOUNDARY_MANIFOLD if has_boundary else PointClass.INTERIOR_MANIFOLD

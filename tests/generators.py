@@ -7,6 +7,8 @@ import random
 
 from circuitsmith import (
     CompactifiedMap,
+    IntChain,
+    OpenSimplexSet,
     PuncturedComplex,
     RelativeCircuitData,
     Simplex,
@@ -56,6 +58,19 @@ def random_punctured(rng: random.Random, **kwargs) -> PuncturedComplex:
 def skeleton(K: SimplicialComplex, i: int) -> SimplicialComplex:
     """All simplices of dimension at most i."""
     return SimplicialComplex(frozenset(s for s in K.simplices if s.dim <= i))
+
+
+def euler_characteristic(K: SimplicialComplex) -> int:
+    return sum((-1) ** s.dim for s in K.simplices)
+
+
+def whole(host: SimplicialComplex) -> OpenSimplexSet:
+    """Every simplex of the host, as an open set."""
+    return OpenSimplexSet(host, frozenset(host.simplices))
+
+
+def scale(z: IntChain, c: int) -> IntChain:
+    return IntChain(z.degree, {s: c * v for s, v in z.coefficients.items()})
 
 
 def disjoint_union(A: RelativeCircuitData, B: RelativeCircuitData) -> GlueResult:

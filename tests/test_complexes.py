@@ -32,6 +32,7 @@ from circuitsmith.errors import MalformedInputError, NotFoundError
 from .conftest import simplex_boundary_complex
 from .generators import (
     disjoint_union,
+    euler_characteristic as euler,
     random_compactified_map,
     random_complex,
     random_subcomplex,
@@ -40,10 +41,6 @@ from .generators import (
     stellar_sphere,
 )
 from .oracles import assert_face_closed, complex_isomorphism, oracle_link, oracle_star
-
-
-def euler(K):
-    return K.euler_characteristic
 
 
 class TestBuildComplex:
@@ -189,6 +186,60 @@ class TestLink:
             K = random_complex(rng, n_vertices=n, max_dim=rng.randint(0, min(4, n - 1)))
             for s in K.sorted_simplices:
                 assert link(s, K).simplices == oracle_link(s, K), s
+
+
+    def test_smallest_star_scan_matches_definition(self):
+        # Vertices are renamed by decreasing star size, so the first vertex
+        # of every simplex has the largest star among its vertices and the
+        # coface scan reads the star of another vertex.
+        rng = random.Random(53)
+        scanned_elsewhere = 0
+        for _ in range(30):
+            n = rng.randint(3, 9)
+            K = random_complex(rng, n_vertices=n, max_dim=rng.randint(1, min(4, n - 1)))
+            size = {v: len(oracle_star([Simplex((v,))], K)) for v in K.vertices}
+            order = sorted(K.vertices, key=lambda v: (-size[v], v))
+            K = relabel(K, {v: i for i, v in enumerate(order)})
+            size = {v: len(oracle_star([Simplex((v,))], K)) for v in K.vertices}
+            for s in K.sorted_simplices:
+                first, *rest = s.vertices
+                assert all(size[first] >= size[v] for v in rest), s
+                scanned_elsewhere += any(size[first] > size[v] for v in rest)
+                assert link(s, K).simplices == oracle_link(s, K), s
+        assert scanned_elsewhere > 100
+
+
+class TestTrustedConstruction:
+    """Faces and link simplices are built without validation; every one
+    must still be a simplex the public constructor accepts."""
+
+    @staticmethod
+    def assert_valid(simplices, what):
+        for t in simplices:
+            vs = t.vertices
+            assert type(vs) is tuple and vs, (what, t)
+            assert all(type(v) is int and v >= 0 for v in vs), (what, t)
+            assert all(a < b for a, b in zip(vs, vs[1:])), (what, t)
+            assert Simplex(vs) == t, (what, t)
+
+    def test_unvalidated_simplices_are_valid(self):
+        rng = random.Random(61)
+        complexes = [random_complex(rng, n_vertices=9, max_dim=4) for _ in range(20)]
+        complexes += [build_complex(stellar_sphere(rng, n, moves=4)) for n in (1, 2, 3) for _ in range(3)]
+        for K in complexes:
+            for s in K.sorted_simplices:
+                self.assert_valid(s.facets(), f"facets of {s}")
+                self.assert_valid(s.faces(), f"faces of {s}")
+                self.assert_valid(s.faces(include_self=False), f"proper faces of {s}")
+                self.assert_valid(link(s, K).simplices, f"link of {s}")
+            closure = SimplicialComplex.from_simplices(K.maximal_simplices)
+            assert closure.simplices == K.simplices
+            self.assert_valid(closure.simplices, "from_simplices")
+
+    @pytest.mark.parametrize("vertices", [(), (2, 1), (0, 0), (-1, 3), (True, 2), (0, 1.0)])
+    def test_public_constructor_validates(self, vertices):
+        with pytest.raises(MalformedInputError):
+            Simplex(vertices)
 
 
 class TestBarycentricSubdivision:

@@ -50,6 +50,40 @@ def test_no_process_wide_caches():
     assert uses == []
 
 
+# ``Simplex._trusted`` skips validation, so each call site must build its
+# tuple from simplices already validated: a face of a simplex, or a coface
+# with the vertices of a face removed (the link).  A new site needs the same
+# argument, written here.
+ALLOWED_TRUSTED = {
+    ("complexes.py", "facets"),
+    ("complexes.py", "faces"),
+    ("complexes.py", "link"),
+}
+
+
+def _trusted_sites(path):
+    """(module, enclosing function) for every reference to ``_trusted``
+    outside its own definition."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if getattr(child, "attr", None) == "_trusted" or getattr(child, "id", None) == "_trusted":
+                sites.append((path.name, where))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_trusted_construction_sites():
+    sites = [site for p in FILES if p.suffix == ".py" for site in _trusted_sites(p)]
+    assert set(sites) == ALLOWED_TRUSTED
+
+
 def _private_helpers(tree):
     """Names of module-level ``_functions`` and non-dunder ``_methods``."""
     defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -119,17 +153,17 @@ def test_no_assert_statements():
 
 
 def _public_names(path, tree):
-    """Public top-level defs and classes of one module, with their nodes;
-    for ``__init__.py``, the names it imports."""
+    """Public top-level defs and classes of one module, and the public
+    methods and properties of its public classes, with their nodes; for
+    ``__init__.py``, the names it imports."""
     if path.name == "__init__.py":
         return {a.asname or a.name: None for node in tree.body
                 if isinstance(node, ast.ImportFrom) for a in node.names}
-    return {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    }
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = {node.name: node for node in tree.body if isinstance(node, defs)}
+    for cls in [n for n in names.values() if isinstance(n, ast.ClassDef)]:
+        names.update({f"{cls.name}.{n.name}": n for n in cls.body if isinstance(n, defs)})
+    return {name: node for name, node in names.items() if "._" not in f".{name}"}
 
 
 def _references(tree):
@@ -157,10 +191,12 @@ def test_public_names_have_callers():
     modules = {p: ast.parse(p.read_text()) for p in FILES if p.suffix == ".py"}
     used = sum((_references(ast.parse(p.read_text())) for p in CALLERS), Counter())
     used += sum((_references(t) for p, t in modules.items() if p.name != "__init__.py"), Counter())
-    uncalled = [
-        f"{path.name}:{name}"
-        for path, tree in modules.items()
-        for name, node in _public_names(path, tree).items()
-        if used[name] - (_references(node)[name] if node else 0) <= 0
-    ]
+    # A member counts as used when its attribute name is read anywhere, so
+    # a name two classes share is kept alive by either one's callers.
+    uncalled = []
+    for path, tree in modules.items():
+        for name, node in _public_names(path, tree).items():
+            attr = name.rsplit(".", 1)[-1]
+            if used[attr] - (_references(node)[attr] if node else 0) <= 0:
+                uncalled.append(f"{path.name}:{name}")
     assert sorted(uncalled) == []
