@@ -10,10 +10,11 @@ constructor, ``Simplex.of``, ``build_complex`` and the loaders.  Faces and
 link simplices cut from a valid simplex are valid by construction and are
 built unchecked.
 
-Each complex indexes itself on first use: for each vertex, the simplices
-that contain it.  Links, stars and subdivision chains walk the cofaces of a
-simplex through that index, reading them off the smallest star among its
-vertices, instead of scanning the whole complex.
+Each complex indexes itself on first use, in two tables freed with it.  The
+link table maps each simplex's vertex tuple to the vertex tuples of its link,
+built in one pass; links and point classification read it.  The vertex-star
+index serves stars and subdivision chains, which read the cofaces of a
+simplex off the smallest star among its vertices.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    ContractError,
     MalformedInputError,
     MapError,
     NotFoundError,
@@ -201,9 +203,35 @@ class SimplicialComplex:
         return [t for t in star if len(t.vertices) >= n and need.issubset(t.vertices)]
 
     @cached_property
+    def _links(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        """The link table: for the vertex tuple of each simplex, the vertex
+        tuples of its link (empty for a maximal simplex).
+
+        One pass over the simplices: each proper nonempty face s of a simplex
+        t gets t minus s in its row.  That is sum(2^|t| - 2) steps, and no
+        star is filtered.  A face missing from self, which a set that is not
+        face-closed would have, raises ``ContractError``."""
+        links = {s.vertices: [] for s in self.simplices}
+        for s in self.simplices:
+            vs = s.vertices
+            # combinations() lists the r-subsets in lexicographic order, and
+            # their complements are the (n - r)-subsets in reverse order.
+            layers = [list(itertools.combinations(vs, r)) for r in range(1, len(vs))]
+            for faces, rests in zip(layers, reversed(layers)):
+                for face, rest in zip(faces, reversed(rests)):
+                    row = links.get(face)
+                    if row is None:
+                        raise ContractError(
+                            f"{s} has the face {list(face)}, which is not in the complex: "
+                            "the simplex set must be face-closed"
+                        )
+                    row.append(rest)
+        return links
+
+    @cached_property
     def _point_classes(self) -> dict:
-        """Point classes of simplices of self, keyed by (simplex, k); filled
-        by ``recognition`` and freed with the complex."""
+        """Point classes of simplices of self, keyed by (vertex tuple, k);
+        filled by ``recognition`` and freed with the complex."""
         return {}
 
     def __contains__(self, s: Simplex) -> bool:
@@ -365,16 +393,12 @@ def star(S: OpenSimplexSet, K: SimplicialComplex) -> OpenSimplexSet:
 def link(s: Simplex, K: SimplicialComplex) -> SimplicialComplex:
     """Simplices of K disjoint from s whose union with s is again in K.
 
-    These are the proper cofaces of s with the vertices of s removed."""
-    if s not in K.simplices:
+    These are the proper cofaces of s with the vertices of s removed: the
+    row of s in the link table of K."""
+    row = K._links.get(s.vertices)
+    if row is None:
         raise NotFoundError(f"link: {s} is not a simplex of the complex")
-    sv = s.vertices
-    n = len(sv)
-    return SimplicialComplex(frozenset(
-        Simplex._trusted(tuple([v for v in t.vertices if v not in sv]))
-        for t in K._cofaces(s)
-        if len(t.vertices) > n
-    ))
+    return SimplicialComplex(frozenset(map(Simplex._trusted, row)))
 
 
 @dataclass(frozen=True)

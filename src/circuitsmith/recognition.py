@@ -9,6 +9,9 @@ of a sphere or a ball, plus, for 2-dimensional links, the classes of the
 larger simplices whose links are the vertex links of the link.  The rule is
 exact for links of dimension at most two; a higher-dimensional link that
 passes it is reported Unknown.
+
+Each link is read as vertex tuples off the complex's link table, and classes
+are memoised on the complex per (vertex tuple, k): no link complex is built.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable
 
-from .complexes import OpenSimplexSet, Simplex, SimplicialComplex, link
+from .complexes import OpenSimplexSet, Simplex, SimplicialComplex
 from .errors import ContractError, NotFoundError
 
 
@@ -61,14 +64,15 @@ def classify_point(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
     lies in a single facet (boundary) and 1 + (-1)^l otherwise (interior).
     At l = 1 that makes the link a path or a cycle.  At l = 2 each vertex w
     of the link must also have a circle or an arc as its link in the link,
-    which is the link of s + w in K, classified (and memoised) as a point of
-    K; the link is then a connected surface, a sphere by its Euler
-    characteristic or, with boundary and Euler characteristic 1, a disk.
+    which is the link of s + w in K, classified (and memoised by its vertex
+    tuple) as a point of K; the link is then a connected surface, a sphere by
+    its Euler characteristic or, with boundary and Euler characteristic 1, a
+    disk.
     Above l = 2 a link that passes is reported Unknown.
     """
-    if s not in K.simplices:
+    faces = K._links.get(s.vertices)
+    if faces is None:
         raise NotFoundError(f"{s} is not a simplex of the complex")
-    faces = [t.vertices for t in link(s, K).simplices]
     if not faces:
         return PointClass.INTERIOR_MANIFOLD if s.dim == k else PointClass.NON_MANIFOLD
     ell = k - s.dim - 1
@@ -104,19 +108,20 @@ def classify_point(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
     if ell >= 3:
         return PointClass.UNKNOWN
     if ell == 2 and any(
-        _classified(Simplex.of(s.vertices + (w,)), K, k) is PointClass.NON_MANIFOLD
+        _classified(tuple(sorted(s.vertices + (w,))), K, k) is PointClass.NON_MANIFOLD
         for w in vertices
     ):
         return PointClass.NON_MANIFOLD
     return PointClass.BOUNDARY_MANIFOLD if has_boundary else PointClass.INTERIOR_MANIFOLD
 
 
-def _classified(s: Simplex, K: SimplicialComplex, k: int) -> PointClass:
-    """``classify_point``, memoised on the complex per (simplex, k)."""
+def _classified(vs: tuple[int, ...], K: SimplicialComplex, k: int) -> PointClass:
+    """``classify_point`` of the simplex of K on the vertex tuple vs,
+    memoised on the complex per (vs, k)."""
     memo = K._point_classes
-    c = memo.get((s, k))
+    c = memo.get((vs, k))
     if c is None:
-        c = memo[s, k] = classify_point(s, K, k)
+        c = memo[vs, k] = classify_point(Simplex._trusted(vs), K, k)
     return c
 
 
@@ -141,7 +146,7 @@ def region_is_pl_manifold(U: OpenSimplexSet, k: int) -> RegionReport:
         return RegionReport(RegionVerdict.YES, None, {}, frozenset())
     if not U.is_open:
         raise ContractError("region check requires an open set (complement must be face-closed)")
-    classification = {s: _classified(s, U.host, k) for s in U.sorted_members}
+    classification = {s: _classified(s.vertices, U.host, k) for s in U.sorted_members}
     witness = None
     for s in U.sorted_members:
         if classification[s] is PointClass.NON_MANIFOLD:

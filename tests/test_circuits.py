@@ -80,6 +80,13 @@ class TestVerifyCircuit:
         data = RelativeCircuitData.closed(SimplicialComplex.empty(), 1)
         assert verify_circuit(data).valid
 
+    def test_set_that_is_not_face_closed_raises(self):
+        # An edge without its vertices: the raw constructor takes the set as
+        # given, and classification meets the missing faces.
+        edge = SimplicialComplex(frozenset({Simplex((0, 1))}))
+        with pytest.raises(ContractError, match=r"Simplex\(0, 1\) has the face"):
+            verify_circuit(RelativeCircuitData.closed(edge, 1))
+
     def test_four_circuit_reports_unknown(self):
         # vertex links are three-dimensional, beyond exact recognition
         data = RelativeCircuitData.closed(simplex_boundary_complex(5), 4)

@@ -20,12 +20,14 @@ from circuitsmith import (
     preimage_restrict,
     product,
     product_complex,
+    region_is_pl_manifold,
     restrict_closed,
     singular_set,
     star,
     subdivision_bordism,
     subdivision_prism,
 )
+from circuitsmith import recognition
 from circuitsmith.complexes import offset_labels, relabel
 from circuitsmith.errors import MalformedInputError, NotFoundError
 
@@ -39,8 +41,34 @@ from .generators import (
     skeleton,
     small_map_for_products,
     stellar_sphere,
+    whole,
 )
 from .oracles import assert_face_closed, complex_isomorphism, oracle_link, oracle_star
+
+
+def relabelled_by_decreasing_star(rng: random.Random) -> list[SimplicialComplex]:
+    """Random complexes with vertices renamed by decreasing star size.
+
+    The first vertex of every simplex then has the largest star among its
+    vertices, so a coface scan of the smallest star reads the star of
+    another vertex.  Over a hundred simplices of the draw have a first
+    vertex whose star is strictly the largest."""
+    complexes = []
+    scanned_elsewhere = 0
+    for _ in range(30):
+        n = rng.randint(3, 9)
+        K = random_complex(rng, n_vertices=n, max_dim=rng.randint(1, min(4, n - 1)))
+        size = {v: len(oracle_star([Simplex((v,))], K)) for v in K.vertices}
+        order = sorted(K.vertices, key=lambda v: (-size[v], v))
+        K = relabel(K, {v: i for i, v in enumerate(order)})
+        size = {v: len(oracle_star([Simplex((v,))], K)) for v in K.vertices}
+        for s in K.sorted_simplices:
+            first, *rest = s.vertices
+            assert all(size[first] >= size[v] for v in rest), s
+            scanned_elsewhere += any(size[first] > size[v] for v in rest)
+        complexes.append(K)
+    assert scanned_elsewhere > 100
+    return complexes
 
 
 class TestBuildComplex:
@@ -145,6 +173,11 @@ class TestStar:
                 got = star(OpenSimplexSet.of(K, members), K).members
                 assert got == oracle_star(members, K)
 
+    def test_smallest_star_scan_matches_definition(self):
+        for K in relabelled_by_decreasing_star(random.Random(53)):
+            for s in K.sorted_simplices:
+                assert star(OpenSimplexSet.of(K, [s]), K).members == oracle_star([s], K), s
+
     def test_star_in_an_equal_host(self, triangle):
         twin = build_complex([[0, 1, 2]])
         S = OpenSimplexSet.of(twin, [Simplex((0, 1))])
@@ -189,29 +222,15 @@ class TestLink:
 
 
     def test_smallest_star_scan_matches_definition(self):
-        # Vertices are renamed by decreasing star size, so the first vertex
-        # of every simplex has the largest star among its vertices and the
-        # coface scan reads the star of another vertex.
-        rng = random.Random(53)
-        scanned_elsewhere = 0
-        for _ in range(30):
-            n = rng.randint(3, 9)
-            K = random_complex(rng, n_vertices=n, max_dim=rng.randint(1, min(4, n - 1)))
-            size = {v: len(oracle_star([Simplex((v,))], K)) for v in K.vertices}
-            order = sorted(K.vertices, key=lambda v: (-size[v], v))
-            K = relabel(K, {v: i for i, v in enumerate(order)})
-            size = {v: len(oracle_star([Simplex((v,))], K)) for v in K.vertices}
+        for K in relabelled_by_decreasing_star(random.Random(53)):
             for s in K.sorted_simplices:
-                first, *rest = s.vertices
-                assert all(size[first] >= size[v] for v in rest), s
-                scanned_elsewhere += any(size[first] > size[v] for v in rest)
                 assert link(s, K).simplices == oracle_link(s, K), s
-        assert scanned_elsewhere > 100
 
 
 class TestTrustedConstruction:
-    """Faces and link simplices are built without validation; every one
-    must still be a simplex the public constructor accepts."""
+    """Faces, link simplices and classified simplices are built without
+    validation; every one must still be a simplex the public constructor
+    accepts."""
 
     @staticmethod
     def assert_valid(simplices, what):
@@ -235,6 +254,27 @@ class TestTrustedConstruction:
             closure = SimplicialComplex.from_simplices(K.maximal_simplices)
             assert closure.simplices == K.simplices
             self.assert_valid(closure.simplices, "from_simplices")
+
+    def test_classified_simplices_are_valid(self, monkeypatch):
+        # Classification rebuilds each simplex it classifies from a vertex
+        # tuple: a region member, or at l = 2 a simplex s plus a vertex of
+        # its link.
+        seen = []
+        plain = recognition.classify_point
+
+        def recorded(s, K, k):
+            seen.append((s, K))
+            return plain(s, K, k)
+
+        monkeypatch.setattr(recognition, "classify_point", recorded)
+        rng = random.Random(67)
+        complexes = [build_complex(stellar_sphere(rng, 3, moves=4)) for _ in range(3)]
+        complexes += [random_complex(rng, n_vertices=8, max_dim=3) for _ in range(10)]
+        for K in complexes:
+            region_is_pl_manifold(whole(K), 3)
+        self.assert_valid([s for s, _ in seen], "classified")
+        assert all(s in K.simplices for s, K in seen)
+        assert any(s.dim == 1 for s, _ in seen[:10])
 
     @pytest.mark.parametrize("vertices", [(), (2, 1), (0, 0), (-1, 3), (True, 2), (0, 1.0)])
     def test_public_constructor_validates(self, vertices):

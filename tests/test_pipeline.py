@@ -349,6 +349,27 @@ class TestClassificationOnce:
         assert len(set(classify_calls)) == len(classify_calls)
 
 
+class TestAtScale:
+    def test_fourfold_subdivided_sphere_onto_the_original(self):
+        # sd^4 of the boundary of the 3-simplex has 15 554 simplices.  Each
+        # barycenter goes where the largest vertex of its simplex goes, a
+        # carrier map onto the original sphere, so the degree is +-1.
+        base = simplex_boundary_complex(3)
+        K, vm = base, {v: v for v in base.vertices}
+        for _ in range(4):
+            sd = barycentric_subdivision(K)
+            vm = {v: vm[max(sd.barycenter_of[v].vertices)] for v in sd.complex.vertices}
+            K = sd.complex
+        assert len(K) == 15_554
+        a = SimplicialMap.from_dict(K, base, vm)
+        cert = psi(RelativeCircuitData.closed(K, 2), a, TargetPair.absolute(base))
+        assert cert.valid
+        assert cert.homology_coordinates.free in ((1,), (-1,))
+        payload = json.loads(dumps(pseudocycle_certificate_to_json(cert)))
+        ok, mismatches = reverify_certificate(payload)
+        assert ok and not mismatches
+
+
 class TestBordismInvariance:
     def test_cylinder_connects_a_circuit_to_itself(self, circle_circuit):
         target = TargetPair.absolute(circle_circuit.L)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from circuitsmith import (
     PointClass,
     RegionVerdict,
     Simplex,
+    SimplicialComplex,
     build_complex,
     classify_point,
     homology,
@@ -226,19 +228,41 @@ class TestClassificationMemo:
         assert len(set(calls)) == len(calls)
 
     def test_no_link_of_a_link(self, monkeypatch, four_simplex_boundary):
-        # Vertex links of the 3-sphere are 2-spheres; their own vertex links
-        # are read off the memo, so each simplex has its link built once.
-        links = []
-        plain = recognition.link
-
-        def counted(s, K):
-            links.append(s)
-            return plain(s, K)
-
-        monkeypatch.setattr(recognition, "link", counted)
+        # Vertex links of the 3-sphere are 2-spheres, and their own vertex
+        # links are rows of the same table, classified through the memo: the
+        # host's link table is built once, each simplex is classified once,
+        # and no complex at all (no link complex) is built.
         U = whole(four_simplex_boundary)
+        classified = []
+        plain = recognition.classify_point
+
+        def counted(s, K, k):
+            classified.append(s)
+            return plain(s, K, k)
+
+        monkeypatch.setattr(recognition, "classify_point", counted)
+        tables = []
+        build = SimplicialComplex.__dict__["_links"].func
+
+        def counted_build(K):
+            tables.append(K)
+            return build(K)
+
+        table = functools.cached_property(counted_build)
+        table.__set_name__(SimplicialComplex, "_links")
+        monkeypatch.setattr(SimplicialComplex, "_links", table)
+        complexes = []
+        init = SimplicialComplex.__init__
+
+        def counted_init(K, *args, **kwargs):
+            complexes.append(K)
+            init(K, *args, **kwargs)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", counted_init)
         assert region_is_pl_manifold(U, 3).verdict is RegionVerdict.YES
-        assert sorted(links) == list(four_simplex_boundary.sorted_simplices)
+        assert len(tables) == 1 and tables[0] is four_simplex_boundary
+        assert complexes == []
+        assert sorted(classified) == list(four_simplex_boundary.sorted_simplices)
 
     def test_memo_is_per_host_object(self, tetra_boundary):
         twin = simplex_boundary_complex(3)

@@ -51,13 +51,19 @@ def test_no_process_wide_caches():
 
 
 # ``Simplex._trusted`` skips validation, so each call site must build its
-# tuple from simplices already validated: a face of a simplex, or a coface
-# with the vertices of a face removed (the link).  A new site needs the same
-# argument, written here.
+# tuple from simplices already validated.  A new site needs the same
+# argument, written here:
+# - facets, faces: a subtuple of a valid simplex's vertices;
+# - link: a row of the link table, a coface with the vertices of a face
+#   removed;
+# - _classified: the vertex tuple of a simplex of the host, either a region
+#   member or, at l = 2, s plus a vertex w of its link (s + w is a coface of
+#   s in the host), sorted.
 ALLOWED_TRUSTED = {
     ("complexes.py", "facets"),
     ("complexes.py", "faces"),
     ("complexes.py", "link"),
+    ("recognition.py", "_classified"),
 }
 
 
