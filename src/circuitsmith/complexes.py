@@ -10,11 +10,11 @@ constructor, ``Simplex.of``, ``build_complex`` and the loaders.  Faces and
 link simplices cut from a valid simplex are valid by construction and are
 built unchecked.
 
-Each complex indexes itself on first use, in two tables freed with it.  The
-link table maps each simplex's vertex tuple to the vertex tuples of its link,
-built in one pass; links and point classification read it.  The vertex-star
-index serves stars and subdivision chains, which read the cofaces of a
-simplex off the smallest star among its vertices.
+Each complex indexes its incidences on first use, in one table freed with
+it: the link table maps each simplex's vertex tuple to the vertex tuples of
+its link, built in one pass.  Links and point classification read a row as
+it stands; stars, subdivision chains and circuit orientation read the proper
+cofaces of a simplex as the simplex merged with each tuple of its row.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class SimplicialComplex:
     ``from_simplices`` and the ``serialize`` loaders, which take the face
     closure.  Every other complex the package builds is face-closed by
     construction, and ``tests/test_complexes.py::TestInvariants`` asserts it
-    for each construction site.
+    for each construction site.  All incidences live in one table, ``_links``.
     """
 
     simplices: frozenset[Simplex]
@@ -181,28 +181,6 @@ class SimplicialComplex:
         return tuple(s for s in self.sorted_simplices if s.vertices not in covered)
 
     @cached_property
-    def _vertex_stars(self) -> dict[int, list[Simplex]]:
-        """The index: for each vertex, the simplices that contain it."""
-        stars: dict[int, list[Simplex]] = {}
-        for s in self.simplices:
-            for v in s.vertices:
-                stars.setdefault(v, []).append(s)
-        return stars
-
-    def _cofaces(self, s: Simplex) -> list[Simplex]:
-        """The simplices of self that contain s, s included, read off the
-        smallest star among its vertices (for a vertex, the index's own
-        list)."""
-        sv = s.vertices
-        stars = self._vertex_stars
-        if len(sv) == 1:
-            return stars.get(sv[0], [])
-        star = min([stars.get(v, []) for v in sv], key=len)
-        n = len(sv)
-        need = set(sv)
-        return [t for t in star if len(t.vertices) >= n and need.issubset(t.vertices)]
-
-    @cached_property
     def _links(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
         """The link table: for the vertex tuple of each simplex, the vertex
         tuples of its link (empty for a maximal simplex).
@@ -227,6 +205,10 @@ class SimplicialComplex:
                         )
                     row.append(rest)
         return links
+
+    def _proper_cofaces(self, s: Simplex) -> list[Simplex]:
+        """The proper cofaces of s: s merged with each row of its link."""
+        return [Simplex._trusted(tuple(sorted(s.vertices + rest))) for rest in self._links[s.vertices]]
 
     @cached_property
     def _point_classes(self) -> dict:
@@ -386,7 +368,8 @@ def star(S: OpenSimplexSet, K: SimplicialComplex) -> OpenSimplexSet:
         # A member already reached is a coface of an earlier one, and so are
         # all of its own cofaces.
         if s not in members:
-            members.update(K._cofaces(s))
+            members.add(s)
+            members.update(K._proper_cofaces(s))
     return OpenSimplexSet(K, frozenset(members))
 
 
@@ -425,12 +408,10 @@ def barycentric_subdivision(K: SimplicialComplex) -> SubdivisionResult:
 
     def extend(chain: list[Simplex]) -> None:
         chains.add(Simplex.of({vertex_for[t] for t in chain}))
-        top = chain[-1]
-        for t in K._cofaces(top):
-            if t.dim > top.dim:
-                chain.append(t)
-                extend(chain)
-                chain.pop()
+        for t in K._proper_cofaces(chain[-1]):
+            chain.append(t)
+            extend(chain)
+            chain.pop()
 
     for s in order:
         extend([s])

@@ -9,6 +9,7 @@ deterministic, so homology coordinates are reproducible across runs.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,10 +24,21 @@ from .errors import (
 )
 from .snf import Matrix, mat_vec, smith_diagonal, smith_normal_form, zeros
 
-# The most cells a dense boundary matrix may have.  The largest one built so
-# far, the degree-2 boundary of a fourfold subdivided tetrahedron boundary,
-# has 4.03e7; a larger one would exhaust memory instead of failing here.
+# The most cells a dense matrix may have.  The largest one built so far, the
+# degree-2 boundary of a fourfold subdivided tetrahedron boundary, has
+# 4.03e7; a larger one would exhaust memory instead of failing here.
 MAX_DENSE_CELLS = 50_000_000
+
+
+def _check_dense(k: int, *shapes: tuple[str, int, int]) -> None:
+    """Raise ``ResourceLimitError`` before allocating when one of the named
+    (what, rows, cols) dense matrices has more than ``MAX_DENSE_CELLS`` cells."""
+    for what, rows, cols in shapes:
+        if rows * cols > MAX_DENSE_CELLS:
+            raise ResourceLimitError(
+                f"{what} of degree {k} has shape {rows} x {cols}, "
+                f"over the dense limit of {MAX_DENSE_CELLS} cells"
+            )
 
 
 @dataclass
@@ -136,23 +148,26 @@ class HomologyResult:
             )
 
     def _columns(self, k: int) -> list[list[tuple[int, int]]]:
-        """Each degree-k basis simplex's relative boundary as (row, sign) pairs."""
+        """Each degree-k basis simplex's relative boundary as (row, sign) pairs;
+        a facet in neither the degree-(k-1) basis nor A raises ``ContractError``."""
         index = {s: i for i, s in enumerate(self._bases.get(k - 1, ()))}
-        return [
-            [(index[f], (-1) ** i) for i, f in enumerate(s.facets()) if f in index]
-            for s in self._bases.get(k, ())
-        ]
+        columns = []
+        for s in self._bases.get(k, ()):
+            column = []
+            for i, f in enumerate(s.facets()):
+                row = index.get(f)
+                if row is not None:
+                    column.append((row, (-1) ** i))
+                elif f not in self.A.simplices:
+                    raise ContractError(f"{s} has the face {list(f.vertices)}, which is not in "
+                                        "the complex: the simplex set must be face-closed")
+            columns.append(column)
+        return columns
 
     def _boundary_matrix(self, k: int) -> Matrix:
-        """The dense relative boundary matrix from degree k to k-1.  A matrix
-        of more than ``MAX_DENSE_CELLS`` cells raises ``ResourceLimitError``
-        before anything is allocated."""
+        """The dense relative boundary matrix from degree k to k-1."""
         rows, cols = len(self._bases.get(k - 1, ())), len(self._bases.get(k, ()))
-        if rows * cols > MAX_DENSE_CELLS:
-            raise ResourceLimitError(
-                f"boundary matrix of degree {k} has shape {rows} x {cols}, "
-                f"over the dense limit of {MAX_DENSE_CELLS} cells"
-            )
+        _check_dense(k, ("boundary matrix", rows, cols))
         mat = zeros(rows, cols)
         for j, column in enumerate(self._columns(k)):
             for r, sign in column:
@@ -176,11 +191,16 @@ class HomologyResult:
         return data
 
     def _compute_degree(self, k: int) -> _DegreeData:
-        snf_out = smith_normal_form(self._boundary_matrix(k), cols=len(self._bases[k]))
+        rows, n, cols = (len(self._bases.get(d, ())) for d in (k - 1, k, k + 1))
+        _check_dense(k, ("row transform", rows, rows), ("column transform", n, n))
+        snf_out = smith_normal_form(self._boundary_matrix(k), cols=n)
         r_out, qinv = snf_out.rank, snf_out.Qinv
         del snf_out  # its row transform is unused; free it before the next elimination
+        m_rows = n - r_out
+        _check_dense(k, ("kernel-coordinate matrix", m_rows, cols),
+                     ("kernel row transform", m_rows, m_rows), ("kernel column transform", cols, cols))
         m = self._kernel_coordinates(k, qinv, r_out)
-        snf_in = smith_normal_form(m, cols=len(self._bases.get(k + 1, ())))
+        snf_in = smith_normal_form(m, cols=cols)
         return _DegreeData(
             rank_boundary_out=r_out,
             diagonal=tuple(d for d in snf_in.diagonal if d),
@@ -265,17 +285,14 @@ class OrientationAssignment:
 
 def orient_circuit(Q: RelativeCircuitData) -> OrientationAssignment:
     """Propagate compatible orientations across shared facets outside the
-    singular set, component by component."""
-    tops = list(Q.L.simplices_of_dim(Q.k))
-    facet_cofaces: dict[Simplex, list[tuple[Simplex, int]]] = {}
-    for t in tops:
-        for i, f in enumerate(t.facets()):
-            if f in Q.S.simplices:
-                continue
-            facet_cofaces.setdefault(f, []).append((t, (-1) ** i))
-
-    signs: dict[Simplex, int] = {}
-    parent: dict[Simplex, Simplex | None] = {}
+    singular set, component by component.  A facet f of a top simplex t whose
+    row in the link table of L holds two vertices, t's and w, joins t to
+    u = f + w, whose incidence sign on f is (-1)^j for j the position of w."""
+    links = Q.L._links
+    singular = {s.vertices for s in Q.S.simplices}
+    tops = {t.vertices: t for t in Q.L.simplices_of_dim(Q.k)}
+    signs: dict[tuple[int, ...], int] = {}
+    parent: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for root in tops:
         if root in signs:
             continue
@@ -283,30 +300,31 @@ def orient_circuit(Q: RelativeCircuitData) -> OrientationAssignment:
         parent[root] = None
         stack = [root]
         while stack:
-            t = stack.pop()
-            for i, f in enumerate(t.facets()):
-                pairs = facet_cofaces.get(f)
-                if not pairs or len(pairs) != 2:
+            tv = stack.pop()
+            for i in range(len(tv)):
+                fv = tv[:i] + tv[i + 1 :]
+                row = links.get(fv, ())  # the empty facet of a vertex has no row
+                if len(row) != 2 or fv in singular:
                     continue
-                inc_t = (-1) ** i
-                for u, inc_u in pairs:
-                    if u == t:
-                        continue
-                    needed = -signs[t] * inc_t * inc_u
-                    if u not in signs:
-                        signs[u] = needed
-                        parent[u] = t
-                        stack.append(u)
-                    elif signs[u] != needed:
-                        cycle = _conflict_cycle(parent, t, u)
-                        return OrientationAssignment({}, False, cycle)
-    return OrientationAssignment(signs, True)
+                (a,), (b,) = row
+                w = b if a == tv[i] else a
+                j = bisect(fv, w)
+                uv = fv[:j] + (w,) + fv[j:]
+                needed = -signs[tv] * (-1) ** (i + j)
+                if uv not in signs:
+                    signs[uv] = needed
+                    parent[uv] = tv
+                    stack.append(uv)
+                elif signs[uv] != needed:
+                    cycle = _conflict_cycle(parent, tv, uv)
+                    return OrientationAssignment({}, False, tuple(tops[v] for v in cycle))
+    return OrientationAssignment({tops[v]: c for v, c in signs.items()}, True)
 
 
 def _conflict_cycle(
-    parent: Mapping[Simplex, Simplex | None], a: Simplex, b: Simplex
-) -> tuple[Simplex, ...]:
-    def path(t: Simplex) -> list[Simplex]:
+    parent: Mapping[tuple[int, ...], tuple[int, ...] | None], a: tuple[int, ...], b: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    def path(t: tuple[int, ...]) -> list[tuple[int, ...]]:
         out = [t]
         while parent[t] is not None:
             t = parent[t]  # type: ignore[assignment]
@@ -317,7 +335,7 @@ def _conflict_cycle(
     common = set(pa) & set(pb)
     cut_a = next(i for i, t in enumerate(pa) if t in common)
     cut_b = next(i for i, t in enumerate(pb) if t in common)
-    return tuple(pa[: cut_a + 1] + pb[:cut_b][::-1])
+    return pa[: cut_a + 1] + pb[:cut_b][::-1]
 
 
 def fundamental_class(Q: RelativeCircuitData, o: OrientationAssignment) -> IntChain:

@@ -199,15 +199,27 @@ def random_outer_map(
     return CompactifiedMap(middle, target, g0)
 
 
-def stellar_sphere(rng: random.Random, n: int, moves: int) -> list[list[int]]:
-    """Facets of the boundary of the (n+1)-simplex after ``moves`` stellar
-    subdivisions, each at a random face and a new vertex: an n-sphere."""
-    verts = list(range(n + 2))
-    facets = [verts[:i] + verts[i + 1 :] for i in range(n + 2)]
-    for new in range(n + 2, n + 2 + moves):
+def stellar_moves(rng: random.Random, facets: list[list[int]], moves: int) -> list[list[int]]:
+    """``moves`` stellar subdivisions of the pure complex with these facets,
+    each at a random face and a new vertex past the largest one."""
+    first = 1 + max(v for t in facets for v in t)
+    for new in range(first, first + moves):
         sigma = rng.choice(build_complex(facets).sorted_simplices).vertices
         starred = [t for t in facets if set(sigma) <= set(t)]
         facets = [t for t in facets if t not in starred] + [
             sorted({new, *t} - {u}) for t in starred for u in sigma
         ]
     return facets
+
+
+def stellar_sphere(rng: random.Random, n: int, moves: int) -> list[list[int]]:
+    """Facets of the boundary of the (n+1)-simplex after ``moves`` stellar
+    subdivisions, each at a random face and a new vertex: an n-sphere."""
+    verts = list(range(n + 2))
+    return stellar_moves(rng, [verts[:i] + verts[i + 1 :] for i in range(n + 2)], moves)
+
+
+def stellar_disk(rng: random.Random, n: int, moves: int) -> list[list[int]]:
+    """Facets of the n-simplex after ``moves`` stellar subdivisions: an
+    n-disk."""
+    return stellar_moves(rng, [list(range(n + 1))], moves)

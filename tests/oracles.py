@@ -17,9 +17,11 @@ from circuitsmith import (
     HomologyResult,
     IntChain,
     OpenSimplexSet,
+    OrientationAssignment,
     PointClass,
     PseudocycleCertificate,
     PuncturedComplex,
+    RelativeCircuitData,
     Simplex,
     SimplicialComplex,
     SimplicialMap,
@@ -262,6 +264,57 @@ def oracle_star(members, K: SimplicialComplex) -> frozenset[Simplex]:
     the members, found by scanning K."""
     faces = [set(f.vertices) for f in members]
     return frozenset(t for t in K.simplices if any(f <= set(t.vertices) for f in faces))
+
+
+def oracle_orientation(Q: RelativeCircuitData) -> OrientationAssignment:
+    """Orientation propagation over a facet-to-cofaces map built from the
+    top simplices, independent of the link table: each facet outside the
+    singular set lists its top cofaces with their incidence signs, and a
+    facet with exactly two passes the sign across."""
+    tops = list(Q.L.simplices_of_dim(Q.k))
+    facet_cofaces: dict[Simplex, list[tuple[Simplex, int]]] = {}
+    for t in tops:
+        for i, f in enumerate(t.facets()):
+            if f not in Q.S.simplices:
+                facet_cofaces.setdefault(f, []).append((t, (-1) ** i))
+
+    signs: dict[Simplex, int] = {}
+    parent: dict[Simplex, Simplex | None] = {}
+
+    def path(t: Simplex) -> list[Simplex]:
+        out = [t]
+        while parent[t] is not None:
+            t = parent[t]
+            out.append(t)
+        return out
+
+    for root in tops:
+        if root in signs:
+            continue
+        signs[root] = 1
+        parent[root] = None
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            for i, f in enumerate(t.facets()):
+                pairs = facet_cofaces.get(f)
+                if not pairs or len(pairs) != 2:
+                    continue
+                for u, inc_u in pairs:
+                    if u == t:
+                        continue
+                    needed = -signs[t] * (-1) ** i * inc_u
+                    if u not in signs:
+                        signs[u] = needed
+                        parent[u] = t
+                        stack.append(u)
+                    elif signs[u] != needed:
+                        pa, pb = path(t), path(u)
+                        common = set(pa) & set(pb)
+                        cut_a = next(i for i, s in enumerate(pa) if s in common)
+                        cut_b = next(i for i, s in enumerate(pb) if s in common)
+                        return OrientationAssignment({}, False, tuple(pa[: cut_a + 1] + pb[:cut_b][::-1]))
+    return OrientationAssignment(signs, True)
 
 
 def _component_count(vertices, edges) -> int:

@@ -228,9 +228,10 @@ class TestLink:
 
 
 class TestTrustedConstruction:
-    """Faces, link simplices and classified simplices are built without
-    validation; every one must still be a simplex the public constructor
-    accepts."""
+    """Faces, link simplices, proper cofaces and classified simplices are
+    built without validation; every one must still be a simplex the public
+    constructor accepts.  (Oriented top simplices are compared with the
+    validated ones in ``TestOrientationOracle``.)"""
 
     @staticmethod
     def assert_valid(simplices, what):
@@ -251,6 +252,9 @@ class TestTrustedConstruction:
                 self.assert_valid(s.faces(), f"faces of {s}")
                 self.assert_valid(s.faces(include_self=False), f"proper faces of {s}")
                 self.assert_valid(link(s, K).simplices, f"link of {s}")
+                cofaces = K._proper_cofaces(s)
+                self.assert_valid(cofaces, f"proper cofaces of {s}")
+                assert all(s.is_face_of(t) and t != s and t in K for t in cofaces), s
             closure = SimplicialComplex.from_simplices(K.maximal_simplices)
             assert closure.simplices == K.simplices
             self.assert_valid(closure.simplices, "from_simplices")

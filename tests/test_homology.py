@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -29,13 +30,22 @@ from circuitsmith.errors import ContractError, OrientationError, ResourceLimitEr
 from circuitsmith.snf import smith_diagonal, smith_normal_form
 
 from .conftest import simplex_boundary_complex
-from .generators import disjoint_union, random_complex, random_subcomplex, scale
+from .generators import (
+    disjoint_union,
+    random_complex,
+    random_subcomplex,
+    scale,
+    stellar_disk,
+    stellar_moves,
+    stellar_sphere,
+)
 from .oracles import (
     connecting_coordinates,
     mat_mul,
     oracle_boundary_matrix,
     oracle_homology,
     oracle_inverse,
+    oracle_orientation,
 )
 
 
@@ -296,8 +306,35 @@ class TestDenseCellGuard:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_transforms_are_guarded(self, monkeypatch):
+        # Degree 0 of a 100-vertex cycle has an empty boundary out, but its
+        # coordinates need a 100 x 100 column transform, as betti(0) needs
+        # the 100 x 100 boundary of degree 1.
+        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 1000)
+        H = homology(build_complex([[i, (i + 1) % 100] for i in range(100)]))
+        with pytest.raises(ResourceLimitError, match="column transform of degree 0 has shape 100 x 100"):
+            H.coordinates(IntChain(0, {Simplex((0,)): 1}))
+        with pytest.raises(ResourceLimitError, match="boundary matrix of degree 1 has shape 100 x 100"):
+            H.betti(0)
+
+    def test_kernel_coordinates_are_guarded(self, monkeypatch):
+        # Degree 0 of the complete graph on 12 vertices: the 12 x 12 column
+        # transform passes a 500-cell limit, the 12 x 66 kernel-coordinate
+        # matrix does not.
+        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 500)
+        H = homology(build_complex([[i, j] for i in range(12) for j in range(i + 1, 12)]))
+        with pytest.raises(ResourceLimitError, match="kernel-coordinate matrix of degree 0 has shape 12 x 66"):
+            H.coordinates(IntChain(0, {Simplex((0,)): 1}))
+
 
 class TestHomology:
+    def test_set_that_is_not_face_closed_raises(self):
+        # An edge without its vertices: the raw constructor takes the set as
+        # given, and the boundary columns meet the missing faces.
+        edge = SimplicialComplex(frozenset({Simplex((0, 1))}))
+        with pytest.raises(ContractError, match=r"Simplex\(0, 1\) has the face \[1\], which is not in the complex"):
+            homology(edge).betti_numbers()
+
     def test_sphere(self, tetra_boundary):
         H = homology(tetra_boundary)
         assert H.betti_numbers() == (1, 0, 1)
@@ -451,6 +488,86 @@ class TestOrientation:
         o = orient_circuit(union)
         assert o.orientable
         assert len(o.signs) == 8
+
+
+def _facets(K):
+    return [list(t.vertices) for t in K.maximal_simplices]
+
+
+def _relabelled(rng, facets):
+    """The facets under a random injective relabelling into a wider range,
+    so the vertex order, and with it every incidence sign, changes; and the
+    relabelling."""
+    verts = sorted({v for t in facets for v in t})
+    new = dict(zip(verts, rng.sample(range(3 * len(verts)), len(verts))))
+    return [sorted(new[v] for v in t) for t in facets], new
+
+
+def _boundary(facets):
+    """The ridges that lie in exactly one facet, closed under faces."""
+    count = Counter(tuple(t[:i] + t[i + 1 :]) for t in facets for i in range(len(t)))
+    ridges = [list(r) for r, c in count.items() if c == 1]
+    return build_complex(ridges) if ridges else SimplicialComplex.empty()
+
+
+def _orientation_instances(family, rng, projective_plane, klein_bottle):
+    """Twenty seeded circuits of one family."""
+    surfaces = [_facets(projective_plane), _facets(klein_bottle)]
+    out = []
+    for _ in range(20):
+        if family == "stellar-sphere":
+            n = rng.randint(1, 3)
+            facets, _ = _relabelled(rng, stellar_sphere(rng, n, rng.randint(0, 8)))
+            out.append(RelativeCircuitData.closed(build_complex(facets), n))
+        elif family == "stellar-disk":
+            n = rng.randint(1, 3)
+            facets, _ = _relabelled(rng, stellar_disk(rng, n, rng.randint(0, 8)))
+            out.append(RelativeCircuitData(build_complex(facets), _boundary(facets), n, SimplicialComplex.empty()))
+        elif family in ("projective-plane", "klein-bottle"):
+            base = surfaces[family == "klein-bottle"]
+            facets, _ = _relabelled(rng, stellar_moves(rng, base, rng.randint(0, 6)))
+            out.append(RelativeCircuitData.closed(build_complex(facets), 2))
+        elif family == "wedge":
+            # Two closed surfaces, each subdivided, the second relabelled past
+            # the first except its vertex 0, which becomes the first's apex.
+            pieces = [stellar_sphere(rng, 2, 0)] + surfaces
+            left = stellar_moves(rng, rng.choice(pieces), rng.randint(0, 4))
+            right = stellar_moves(rng, rng.choice(pieces), rng.randint(0, 4))
+            apex, shift = left[0][0], 1 + max(v for t in left for v in t)
+            right = [sorted(apex if v == 0 else v + shift for v in t) for t in right]
+            facets, new = _relabelled(rng, left + right)
+            singular = build_complex([[new[apex]]])
+            out.append(RelativeCircuitData.closed(build_complex(facets), 2, singular))
+        else:
+            # A closed circuit with a singular candidate that holds ridges, so
+            # propagation has to stop at some facets.
+            n = rng.randint(2, 3)
+            base = rng.choice([stellar_sphere(rng, n, 0)] + (surfaces if n == 2 else []))
+            facets, _ = _relabelled(rng, stellar_moves(rng, base, rng.randint(0, 6)))
+            L = build_complex(facets)
+            ridges = [s for s in L.simplices_of_dim(n - 1) if rng.random() < 0.3] or [L.simplices_of_dim(n - 1)[0]]
+            out.append(RelativeCircuitData.closed(L, n, SimplicialComplex.from_simplices(ridges)))
+    return out
+
+
+class TestOrientationOracle:
+    @pytest.mark.parametrize(
+        "family",
+        ["stellar-sphere", "stellar-disk", "projective-plane", "klein-bottle", "wedge", "singular-candidate"],
+    )
+    def test_matches_facet_map_propagation(self, family, projective_plane, klein_bottle):
+        instances = _orientation_instances(family, random.Random(family), projective_plane, klein_bottle)
+        verdicts = set()
+        for Q in instances:
+            got, want = orient_circuit(Q), oracle_orientation(Q)
+            assert got.orientable == want.orientable
+            assert list(got.signs.items()) == list(want.signs.items())
+            assert got.witness_cycle == want.witness_cycle
+            verdicts.add(got.orientable)
+        assert len(instances) == 20
+        expected = {"projective-plane": {False}, "klein-bottle": {False}, "wedge": {True, False},
+                    "singular-candidate": {True, False}}
+        assert verdicts == expected.get(family, {True})
 
 
 class TestFundamentalClass:

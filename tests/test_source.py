@@ -58,11 +58,14 @@ def test_no_process_wide_caches():
 #   removed;
 # - _classified: the vertex tuple of a simplex of the host, either a region
 #   member or, at l = 2, s plus a vertex w of its link (s + w is a coface of
-#   s in the host), sorted.
+#   s in the host), sorted;
+# - _proper_cofaces: a simplex s merged with a row of its link table, the
+#   vertex tuple of a coface of s, sorted.
 ALLOWED_TRUSTED = {
     ("complexes.py", "facets"),
     ("complexes.py", "faces"),
     ("complexes.py", "link"),
+    ("complexes.py", "_proper_cofaces"),
     ("recognition.py", "_classified"),
 }
 
@@ -88,6 +91,36 @@ def _trusted_sites(path):
 def test_trusted_construction_sites():
     sites = [site for p in FILES if p.suffix == ".py" for site in _trusted_sites(p)]
     assert set(sites) == ALLOWED_TRUSTED
+
+
+# Every per-complex table lives in a cached property of ``SimplicialComplex``
+# and is freed with the complex.  Incidences are indexed once, in the link
+# table; a new table needs its reason written here:
+# - dim, sorted_simplices, vertices, maximal_simplices: summaries of the
+#   simplex set that every stage reads;
+# - _links: the one incidence table; links, stars, subdivision chains,
+#   orientation and point classification read it;
+# - _point_classes: the memo of point classes, filled by recognition.
+ALLOWED_COMPLEX_CACHES = {
+    "dim",
+    "sorted_simplices",
+    "vertices",
+    "maximal_simplices",
+    "_links",
+    "_point_classes",
+}
+
+
+def test_complex_caches():
+    tree = ast.parse((PACKAGE / "complexes.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SimplicialComplex")
+    cached = {
+        node.name
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(d, "id", getattr(d, "attr", None)) == "cached_property" for d in node.decorator_list)
+    }
+    assert cached == ALLOWED_COMPLEX_CACHES
 
 
 def _private_helpers(tree):
