@@ -128,9 +128,11 @@ class HomologyResult:
     """Integer homology of a pair: Betti numbers, torsion and coordinates.
 
     Nothing is eliminated up front.  The Betti number and torsion of degree
-    k come from the invariant factors of the relative boundary matrices into
-    and out of degree k; coordinates come from the two tracked eliminations
-    of their degree.  Each elimination runs on first use and is kept.
+    k come from the invariant factors of the relative boundaries into and
+    out of degree k, which ``smith_diagonal`` finds from their sparse
+    columns; only a remainder free of unit entries is made dense.
+    Coordinates come from the two tracked dense eliminations of their
+    degree.  Each elimination runs on first use and is kept.
     """
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex | None = None):
@@ -178,8 +180,10 @@ class HomologyResult:
         """Invariant factors and rank of the boundary from degree k to k-1."""
         out = self._diagonals.get(k)
         if out is None:
-            cols = len(self._bases.get(k, ()))
-            out = self._diagonals[k] = smith_diagonal(self._boundary_matrix(k), cols)
+            out = self._diagonals[k] = smith_diagonal(
+                self._columns(k), len(self._bases.get(k - 1, ())),
+                lambda rows, cols: _check_dense(k, ("boundary remainder", rows, cols)),
+            )
         return out
 
     def _degree(self, k: int) -> _DegreeData | None:

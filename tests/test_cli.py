@@ -141,12 +141,20 @@ class TestHomologyCommand:
         assert payload["torsion"] == {"1": [2]}
 
     def test_dense_cell_guard(self, capsys, tmp_path):
-        n = 7100  # the boundary of degree 1 has 7100 x 7100 cells
-        cycle = write(tmp_path, "cycle.json", {"maximal": [[i, (i + 1) % n] for i in range(n)]})
-        code = main(["homology", cycle])
+        # Betti numbers are found sparsely; coordinates of degree 1 need a
+        # 7100 x 7100 row transform, over the dense limit.
+        n = 7100
+        edges = [[i, (i + 1) % n] for i in range(n)]
+        cycle = write(tmp_path, "cycle.json", {"maximal": edges})
+        code, payload = run(capsys, ["homology", cycle])
+        assert code == 0 and payload["betti"] == [1, 1]
+        circuit = write(tmp_path, "circuit.json", {"maximal": edges, "k": 1})
+        target = write(tmp_path, "target.json", {"complex": {"maximal": edges}})
+        identity = write(tmp_path, "map.json", {"vertex_map": {str(i): i for i in range(n)}})
+        code = main(["evaluate", circuit, identity, target])
         captured = capsys.readouterr()
         assert code == 1
-        assert "7100 x 7100" in json.loads(captured.out)["error"]
+        assert "row transform of degree 1 has shape 7100 x 7100" in json.loads(captured.out)["error"]
         assert "Traceback" not in captured.err
 
 

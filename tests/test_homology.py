@@ -15,6 +15,7 @@ from circuitsmith import (
     Simplex,
     SimplicialComplex,
     SimplicialMap,
+    barycentric_subdivision,
     boundary_circuit,
     build_complex,
     chain_boundary,
@@ -187,36 +188,43 @@ def _seeded_matrices():
         yield [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)], n
 
 
+def _as_columns(mat, n):
+    """The (row, entry) columns of a dense matrix with n columns."""
+    return [[(i, row[j]) for i, row in enumerate(mat) if row[j]] for j in range(n)]
+
+
 class TestSmithDiagonal:
     def test_matches_tracked_form_on_seeded_matrices(self):
         for mat, n in _seeded_matrices():
             res = smith_normal_form(mat, cols=n)
-            assert smith_diagonal(mat, cols=n) == (res.diagonal, res.rank)
+            assert smith_diagonal(_as_columns(mat, n), len(mat)) == (res.diagonal, res.rank)
 
     def test_matches_tracked_form_on_boundary_matrices(self):
         rng = random.Random(17)
         for _ in range(20):
             K = random_complex(rng, n_vertices=8, max_dim=3)
-            for k in range(1, K.dim + 1):
-                d = HomologyResult(K)._boundary_matrix(k)
-                n = len(K.simplices_of_dim(k))
-                res = smith_normal_form(d, cols=n)
-                assert smith_diagonal(d, cols=n) == (res.diagonal, res.rank)
+            for A in (None, random_subcomplex(rng, K)):
+                H = HomologyResult(K, A)
+                for k in range(1, K.dim + 1):
+                    d = H._boundary_matrix(k)
+                    res = smith_normal_form(d, cols=len(H._bases[k]))
+                    assert smith_diagonal(H._columns(k), len(d)) == (res.diagonal, res.rank)
 
     def test_empty_shapes(self):
-        assert smith_diagonal([], cols=3) == ([], 0)
-        assert smith_diagonal([[], []], cols=0) == ([], 0)
+        assert smith_diagonal([], 3) == ([], 0)
+        assert smith_diagonal([[], []], 0) == ([], 0)
 
     def test_input_is_not_modified(self):
-        mat = [[2, 4], [6, 9]]
-        smith_diagonal(mat)
-        assert mat == [[2, 4], [6, 9]]
+        for columns in ([[(0, 2), (1, 6)], [(0, 4), (1, 9)]], [[(0, 1), (1, 1)], [(0, 1), (1, -1)]]):
+            copy = [list(column) for column in columns]
+            smith_diagonal(columns, 2)
+            assert columns == copy
 
 
 class TestTrackedEliminationOnDemand:
     @pytest.fixture
     def eliminations(self, monkeypatch):
-        """Column counts of each tracked and each untracked elimination, and
+        """Column counts of each tracked and each sparse elimination, and
         the row count of each transform that a tracked elimination returns."""
         # the package's ``homology`` attribute is the function, not the module
         homology_module = importlib.import_module("circuitsmith.homology")
@@ -230,9 +238,9 @@ class TestTrackedEliminationOnDemand:
             )
             return res
 
-        def counting_diagonal(matrix, cols=None):
-            calls["diagonal"].append(cols)
-            return smith_diagonal(matrix, cols)
+        def counting_diagonal(columns, rows, check=None):
+            calls["diagonal"].append(len(columns))
+            return smith_diagonal(columns, rows, check)
 
         monkeypatch.setattr(homology_module, "smith_normal_form", counting_tracked)
         monkeypatch.setattr(homology_module, "smith_diagonal", counting_diagonal)
@@ -276,6 +284,17 @@ class TestTrackedEliminationOnDemand:
         assert all(H.torsion(k) == () for k in (0, 2))
         assert tracked_calls == []
 
+    def test_betti_and_torsion_build_no_dense_boundary(self, monkeypatch, projective_plane, triangle,
+                                                      triangle_boundary):
+        def refuse(self, k):
+            raise AssertionError(f"dense boundary matrix of degree {k} built")
+
+        monkeypatch.setattr(HomologyResult, "_boundary_matrix", refuse)
+        H = homology(projective_plane)
+        assert H.betti_numbers() == (1, 0, 0)
+        assert [H.torsion(k) for k in range(3)] == [(), (2,), ()]
+        assert homology(triangle, triangle_boundary).betti_numbers() == (0, 0, 1)
+
     def test_coordinates_build_only_their_degree(self, eliminations, tetra_boundary):
         H = homology(tetra_boundary)
         H.betti_numbers()
@@ -294,28 +313,34 @@ class TestTrackedEliminationOnDemand:
 
 
 class TestDenseCellGuard:
-    def test_boundary_over_the_limit_raises_before_allocating(self):
-        n = 7100  # a cycle graph: the boundary of degree 1 has 7100 x 7100 cells
+    def test_boundary_over_the_dense_limit_is_eliminated_sparsely(self):
+        n = 7100  # a cycle graph: a dense boundary of degree 1 would have 7100 x 7100 cells
         H = homology(build_complex([[i, (i + 1) % n] for i in range(n)]))
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="degree 1 has shape 7100 x 7100"):
-                H.betti(0)
+            assert H.betti_numbers() == (1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10**6
+        # the dense matrix would take over 4 * 10**8 bytes
+        assert peak < 2 * 10**7
+
+    def test_boundary_remainder_is_guarded(self, monkeypatch, projective_plane):
+        # Unit pivots reduce the boundary of degree 1 to nothing and the
+        # boundary of degree 2 to one column, the factor 2, on three rows.
+        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 2)
+        H = homology(projective_plane)
+        with pytest.raises(ResourceLimitError, match="boundary remainder of degree 2 has shape 3 x 1"):
+            H.betti_numbers()
+        assert H.betti(0) == 1
 
     def test_transforms_are_guarded(self, monkeypatch):
         # Degree 0 of a 100-vertex cycle has an empty boundary out, but its
-        # coordinates need a 100 x 100 column transform, as betti(0) needs
-        # the 100 x 100 boundary of degree 1.
+        # coordinates need a 100 x 100 column transform.
         monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 1000)
         H = homology(build_complex([[i, (i + 1) % 100] for i in range(100)]))
         with pytest.raises(ResourceLimitError, match="column transform of degree 0 has shape 100 x 100"):
             H.coordinates(IntChain(0, {Simplex((0,)): 1}))
-        with pytest.raises(ResourceLimitError, match="boundary matrix of degree 1 has shape 100 x 100"):
-            H.betti(0)
 
     def test_kernel_coordinates_are_guarded(self, monkeypatch):
         # Degree 0 of the complete graph on 12 vertices: the 12 x 12 column
@@ -325,6 +350,12 @@ class TestDenseCellGuard:
         H = homology(build_complex([[i, j] for i in range(12) for j in range(i + 1, 12)]))
         with pytest.raises(ResourceLimitError, match="kernel-coordinate matrix of degree 0 has shape 12 x 66"):
             H.coordinates(IntChain(0, {Simplex((0,)): 1}))
+
+
+def _subdivide(K, m):
+    for _ in range(m):
+        K = barycentric_subdivision(K).complex
+    return K
 
 
 class TestHomology:
@@ -370,6 +401,29 @@ class TestHomology:
         o = orient_circuit(klein)
         assert not o.orientable
         assert o.witness_cycle
+
+    def test_subdivided_spheres_beyond_the_dense_oracle(self, tetra_boundary, four_simplex_boundary):
+        assert homology(_subdivide(tetra_boundary, 4)).betti_numbers() == (1, 0, 1)
+        assert homology(_subdivide(four_simplex_boundary, 2)).betti_numbers() == (1, 0, 0, 1)
+
+    def test_subdivided_projective_plane_beyond_the_dense_oracle(self, projective_plane):
+        K = _subdivide(projective_plane, 3)
+        assert len(K) == 6481
+        H = homology(K)
+        assert H.betti_numbers() == (1, 0, 0)
+        assert [H.torsion(k) for k in range(3)] == [(), (2,), ()]
+
+    def test_subdivided_disk_relative_to_its_boundary(self, triangle, triangle_boundary):
+        K, A = triangle, triangle_boundary
+        for _ in range(3):
+            sd = barycentric_subdivision(K)
+            K, A = sd.complex, SimplicialComplex(frozenset(
+                s for s in sd.complex.simplices
+                if all(sd.barycenter_of[v] in A.simplices for v in s.vertices)
+            ))
+        H = homology(K, A)
+        assert H.betti_numbers() == (0, 0, 1)
+        assert all(H.torsion(k) == () for k in range(3))
 
     def test_agrees_with_dense_oracle_randomized(self):
         rng = random.Random(41)
