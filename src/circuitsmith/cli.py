@@ -121,19 +121,26 @@ def cmd_homology(args) -> int:
     return EXIT_VALID
 
 
-def cmd_fundamental_class(args) -> int:
-    data = serialize.circuit_from_json(_load(args.circuit))
+def _fundamental_class(data):
+    """Verify the circuit, orient it and build its fundamental class, as
+    ``psi`` does first.  Returns the failure report, or None and the
+    orientation and class."""
     verdict = verify_circuit(data)
     if not verdict.valid:
-        payload = serialize.verdict_to_json(verdict)
-        _emit(payload)
-        return _verdict_exit(payload)
+        return serialize.verdict_to_json(verdict), None, None
     o = orient_circuit(data)
     if not o.orientable:
-        _emit({"valid": False, "orientable": False,
-               "witness_cycle": serialize.simplices_to_json(o.witness_cycle)})
-        return EXIT_INVALID
-    z = fundamental_class(data, o)
+        return {"valid": False, "orientable": False,
+                "witness_cycle": serialize.simplices_to_json(o.witness_cycle)}, None, None
+    return None, o, fundamental_class(data, o)
+
+
+def cmd_fundamental_class(args) -> int:
+    data = serialize.circuit_from_json(_load(args.circuit))
+    failure, o, z = _fundamental_class(data)
+    if failure is not None:
+        _emit(failure)
+        return _verdict_exit(failure)
     _emit({"valid": True, "orientation": serialize.orientation_to_json(o),
            "fundamental_class": serialize.chain_to_json(z)})
     return EXIT_VALID
@@ -143,8 +150,10 @@ def cmd_evaluate(args) -> int:
     data = serialize.circuit_from_json(_load(args.circuit))
     target = serialize.target_from_json(_load(args.target))
     a = serialize.vertex_map_from_json(_load(args.map), data.L, target.X)
-    o = orient_circuit(data)
-    z = fundamental_class(data, o)
+    failure, _, z = _fundamental_class(data)
+    if failure is not None:
+        _emit(failure)
+        return _verdict_exit(failure)
     coords = evaluate(a, z, target.A, data.K)
     _emit({"coordinates": serialize.coordinates_to_json(coords)})
     return EXIT_VALID

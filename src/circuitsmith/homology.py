@@ -3,8 +3,9 @@ fundamental classes, and evaluation of singular circuits in homology.
 
 Homology here gives Betti numbers, torsion and the coordinates of a class;
 it chooses no cycle basis.  All arithmetic is exact (Python ints).  Bases
-are the canonically sorted simplices, and the Smith-form transforms are
-deterministic, so homology coordinates are reproducible across runs.
+are the canonically sorted simplices, and the reduction and the Smith-form
+transforms are deterministic, so homology coordinates are reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .errors import (
     ResourceLimitError,
     StructureError,
 )
-from .snf import Matrix, mat_vec, smith_diagonal, smith_normal_form, zeros
+from .snf import Matrix, _eliminate, mat_vec, smith_normal_form, zeros
 
-# The most cells a dense matrix may have.  The largest one built so far, the
-# degree-2 boundary of a fourfold subdivided tetrahedron boundary, has
-# 4.03e7; a larger one would exhaust memory instead of failing here.
+# The most cells a dense matrix may have; a larger one would exhaust memory
+# instead of failing here.  Only cores are made dense, and the core of a
+# subdivided sphere has one cell in degree 0 and one in the top degree.
 MAX_DENSE_CELLS = 50_000_000
 
 
@@ -112,10 +113,21 @@ class Coordinates:
 
 
 @dataclass
+class _Reduction:
+    """The chain complex left when no unit entry is left in any boundary,
+    and the log that projects chains onto it."""
+
+    cells: dict[int, list[int]]    # basis indices of the core cells of each degree
+    columns: dict[int, list[dict[int, int]]]  # the core boundary of each core cell
+    log: dict[int, list[tuple[int, int, dict[int, int]]]]  # (r, u, boundary of c) for
+                                                           # each pair whose row r has that degree
+
+
+@dataclass
 class _DegreeData:
-    """What coordinates read in one degree: Qinv of the outgoing boundary
-    with its rank, and P of the kernel-coordinate matrix with its nonzero
-    invariant factors."""
+    """What coordinates read in one degree of the core: Qinv of the outgoing
+    boundary with its rank, and P of the kernel-coordinate matrix with its
+    nonzero invariant factors."""
 
     rank_boundary_out: int         # rank of the outgoing boundary (degree)
     diagonal: tuple[int, ...]      # nonzero invariant factors of the incoming
@@ -127,12 +139,14 @@ class _DegreeData:
 class HomologyResult:
     """Integer homology of a pair: Betti numbers, torsion and coordinates.
 
-    Nothing is eliminated up front.  The Betti number and torsion of degree
-    k come from the invariant factors of the relative boundaries into and
-    out of degree k, which ``smith_diagonal`` finds from their sparse
-    columns; only a remainder free of unit entries is made dense.
-    Coordinates come from the two tracked dense eliminations of their
-    degree.  Each elimination runs on first use and is kept.
+    Nothing is eliminated up front.  The first query reduces the relative
+    chain complex once, over every degree, by elementary reductions on unit
+    entries of the sparse boundary columns (Kaczynski, Mrozek and Slusarek,
+    Computers Math. Applic. 1998), and keeps the small core that is left
+    and the log of the reductions.  Betti numbers and torsion are read from
+    the core's boundaries; coordinates replay the log of their degree to
+    project a cycle onto the core, then read two tracked dense eliminations
+    of the core.  Each elimination runs on first use and is kept.
     """
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex | None = None):
@@ -141,8 +155,9 @@ class HomologyResult:
             raise StructureError("relative subcomplex must sit inside the complex")
         self.K = K
         self.A = A
+        self._reduced: _Reduction | None = None
         self._degrees: dict[int, _DegreeData] = {}
-        self._diagonals: dict[int, tuple[list[int], int]] = {}
+        self._diagonals: dict[int, list[int]] = {}
         self._bases: dict[int, tuple[Simplex, ...]] = {}
         for d in range(0, K.dim + 1):
             self._bases[d] = tuple(
@@ -152,99 +167,157 @@ class HomologyResult:
     def _columns(self, k: int) -> list[list[tuple[int, int]]]:
         """Each degree-k basis simplex's relative boundary as (row, sign) pairs;
         a facet in neither the degree-(k-1) basis nor A raises ``ContractError``."""
-        index = {s: i for i, s in enumerate(self._bases.get(k - 1, ()))}
+        index = {s.vertices: i for i, s in enumerate(self._bases.get(k - 1, ()))}
         columns = []
         for s in self._bases.get(k, ()):
+            vs = s.vertices
             column = []
-            for i, f in enumerate(s.facets()):
+            for i in range(len(vs) if k else 0):
+                f = vs[:i] + vs[i + 1 :]
                 row = index.get(f)
                 if row is not None:
-                    column.append((row, (-1) ** i))
-                elif f not in self.A.simplices:
-                    raise ContractError(f"{s} has the face {list(f.vertices)}, which is not in "
+                    column.append((row, -1 if i % 2 else 1))
+                elif Simplex(f) not in self.A.simplices:
+                    raise ContractError(f"{s} has the face {list(f)}, which is not in "
                                         "the complex: the simplex set must be face-closed")
             columns.append(column)
         return columns
 
-    def _boundary_matrix(self, k: int) -> Matrix:
-        """The dense relative boundary matrix from degree k to k-1."""
-        rows, cols = len(self._bases.get(k - 1, ())), len(self._bases.get(k, ()))
-        _check_dense(k, ("boundary matrix", rows, cols))
-        mat = zeros(rows, cols)
-        for j, column in enumerate(self._columns(k)):
-            for r, sign in column:
-                mat[r][j] = sign
-        return mat
+    def _reduction(self) -> _Reduction:
+        """Reduce every degree by unit pivots, once.
 
-    def _smith_diagonal(self, k: int) -> tuple[list[int], int]:
-        """Invariant factors and rank of the boundary from degree k to k-1."""
+        Each pass takes the columns of each degree d+1 in order and pivots
+        on a unit u = <dc, r> of column c that lies in the row r with the
+        fewest nonzeros.  Column operations col -= <col, r> u dc clear row r
+        from the other columns, which leaves the same remainder as row
+        operations would; then c and r are dropped, with the row of c in the
+        boundary above and the column of r in the boundary below, and
+        (r, u, dc) is logged under degree d.  Passes repeat until no unit is
+        left in any degree."""
+        if self._reduced is not None:
+            return self._reduced
+        top = len(self._bases) - 1
+        cols = {d: [dict(column) for column in self._columns(d)] for d in range(1, top + 1)}
+        # rows[d][r]: the live columns of degree d+1 whose boundary meets r
+        rows: dict[int, list[set[int]]] = {d: [set() for _ in self._bases[d]] for d in range(top)}
+        for d, columns in cols.items():
+            for j, col in enumerate(columns):
+                for r in col:
+                    rows[d - 1][r].add(j)
+        paired: dict[int, set[int]] = {d: set() for d in range(top + 1)}
+        log: dict[int, list[tuple[int, int, dict[int, int]]]] = {d: [] for d in range(top + 1)}
+        found = True
+        while found:
+            found = False
+            for d in range(top):
+                columns, support = cols[d + 1], rows[d]
+                for c, col in enumerate(columns):
+                    pivot = None
+                    for r, x in col.items():
+                        if (x == 1 or x == -1) and (pivot is None or len(support[r]) < len(support[pivot])):
+                            pivot = r
+                    if pivot is None:
+                        continue
+                    found = True
+                    u = col[pivot]
+                    for j in support[pivot]:
+                        if j == c:
+                            continue
+                        other = columns[j]
+                        f = other.pop(pivot) * u  # <other, r> / u, as u = 1 / u
+                        for r, x in col.items():
+                            if r == pivot:
+                                continue
+                            y = other.get(r, 0) - f * x
+                            if y:
+                                other[r] = y
+                                support[r].add(j)
+                            else:
+                                del other[r]
+                                support[r].discard(j)
+                    for r in col:
+                        support[r].discard(c)
+                    support[pivot].clear()
+                    columns[c] = {}
+                    if d + 1 < top:
+                        above = cols[d + 2]
+                        for j in rows[d + 1][c]:
+                            del above[j][c]
+                        rows[d + 1][c].clear()
+                    if d > 0:
+                        for r in cols[d][pivot]:
+                            rows[d - 1][r].discard(pivot)
+                        cols[d][pivot] = {}
+                    paired[d + 1].add(c)
+                    paired[d].add(pivot)
+                    log[d].append((pivot, u, col))
+        cells = {d: [i for i in range(len(self._bases[d])) if i not in paired[d]] for d in range(top + 1)}
+        self._reduced = _Reduction(cells, {d: [cols[d][j] for j in cells[d]] for d in cols}, log)
+        return self._reduced
+
+    def _core_boundary(self, k: int) -> tuple[Matrix, int, int]:
+        """The dense core boundary from degree k to k-1, without the rows
+        that no column meets, and its shape."""
+        core = self._reduction()
+        columns = core.columns.get(k, ())
+        live = sorted({r for col in columns for r in col})
+        m, n = len(live), len(core.cells.get(k, ()))
+        _check_dense(k, ("core boundary", m, n))
+        at = {r: i for i, r in enumerate(live)}
+        a = zeros(m, n)
+        for j, col in enumerate(columns):
+            for r, x in col.items():
+                a[at[r]][j] = x
+        return a, m, n
+
+    def _diagonal(self, k: int) -> list[int]:
+        """Nonzero invariant factors of the core boundary from degree k to k-1."""
         out = self._diagonals.get(k)
         if out is None:
-            out = self._diagonals[k] = smith_diagonal(
-                self._columns(k), len(self._bases.get(k - 1, ())),
-                lambda rows, cols: _check_dense(k, ("boundary remainder", rows, cols)),
-            )
+            a, m, n = self._core_boundary(k)
+            out = self._diagonals[k] = [d for d in _eliminate(a, m, n, None, None) if d]
         return out
 
-    def _degree(self, k: int) -> _DegreeData | None:
-        if k not in self._bases:
-            return None
+    def _degree(self, k: int) -> _DegreeData:
+        """What coordinates of degree k read, from the two tracked
+        eliminations of the core; computed on first use and kept."""
         data = self._degrees.get(k)
-        if data is None:
-            data = self._degrees[k] = self._compute_degree(k)
-        return data
-
-    def _compute_degree(self, k: int) -> _DegreeData:
-        rows, n, cols = (len(self._bases.get(d, ())) for d in (k - 1, k, k + 1))
+        if data is not None:
+            return data
+        a, rows, n = self._core_boundary(k)
         _check_dense(k, ("row transform", rows, rows), ("column transform", n, n))
-        snf_out = smith_normal_form(self._boundary_matrix(k), cols=n)
+        snf_out = smith_normal_form(a, cols=n)
         r_out, qinv = snf_out.rank, snf_out.Qinv
-        del snf_out  # its row transform is unused; free it before the next elimination
-        m_rows = n - r_out
+        del snf_out  # its row transform is unused
+        core = self._reduction()
+        above = core.columns.get(k + 1, ())
+        cols, m_rows = len(above), n - r_out
         _check_dense(k, ("kernel-coordinate matrix", m_rows, cols),
                      ("kernel row transform", m_rows, m_rows), ("kernel column transform", cols, cols))
-        m = self._kernel_coordinates(k, qinv, r_out)
+        # Rows r_out.. of Qinv times the incoming boundary; the rows above
+        # r_out vanish because boundaries are cycles, so they are never formed.
+        at = {r: i for i, r in enumerate(core.cells[k])}
+        m = [[sum(row[at[r]] * x for r, x in column.items()) for column in above] for row in qinv[r_out:]]
         snf_in = smith_normal_form(m, cols=cols)
-        return _DegreeData(
-            rank_boundary_out=r_out,
-            diagonal=tuple(d for d in snf_in.diagonal if d),
-            qinv=qinv,
-            p2=snf_in.P,
-        )
-
-    def _kernel_coordinates(self, k: int, qinv: Matrix, r_out: int) -> Matrix:
-        """Rows r_out.. of Qinv times the incoming boundary, built from one
-        sparse boundary column at a time.  The rows above r_out vanish
-        because boundaries are cycles, so they are never formed."""
-        n = len(qinv)
-        kernel_columns = [column[r_out:] for column in zip(*qinv)]
-        u = []
-        for column in self._columns(k + 1):
-            col = [0] * (n - r_out)
-            for r, sign in column:
-                col = [x + y if sign > 0 else x - y for x, y in zip(col, kernel_columns[r])]
-            u.append(col)
-        return [list(row) for row in zip(*u)] if u else [[] for _ in range(r_out, n)]
+        diagonal = tuple(d for d in snf_in.diagonal if d)
+        data = self._degrees[k] = _DegreeData(r_out, diagonal, qinv, snf_in.P)
+        return data
 
     def betti(self, k: int) -> int:
         if k not in self._bases:
             return 0
-        return len(self._bases[k]) - self._smith_diagonal(k)[1] - self._smith_diagonal(k + 1)[1]
+        return len(self._reduction().cells[k]) - len(self._diagonal(k)) - len(self._diagonal(k + 1))
 
     def torsion(self, k: int) -> tuple[int, ...]:
         if k not in self._bases:
             return ()
-        return tuple(d for d in self._smith_diagonal(k + 1)[0] if d > 1)
+        return tuple(d for d in self._diagonal(k + 1) if d > 1)
 
     def betti_numbers(self) -> tuple[int, ...]:
         return tuple(self.betti(k) for k in range(0, max(self.K.dim, 0) + 1))
 
     def _chain_vector(self, z: IntChain) -> list[int]:
-        basis = self._bases.get(z.degree)
-        if basis is None:
-            if z:
-                raise StructureError(f"no chains in degree {z.degree}")
-            return []
+        basis = self._bases[z.degree]
         index = {s: i for i, s in enumerate(basis)}
         vec = [0] * len(basis)
         for s, c in z.coefficients.items():
@@ -259,15 +332,21 @@ class HomologyResult:
     def coordinates(self, z: IntChain) -> Coordinates:
         """Homology coordinates of a relative cycle."""
         k = z.degree
-        data = self._degree(k)
-        if data is None:
+        if k not in self._bases:
             return Coordinates(k, (), (), ())
         vec = self._chain_vector(z)
-        u = mat_vec(data.qinv, vec)
-        for i in range(data.rank_boundary_out):
-            if u[i] != 0:
-                raise ContractError("chain is not a relative cycle")
-        kappa = u[data.rank_boundary_out :]
+        # The projection cannot see a non-cycle: a cell paired downward
+        # projects to zero.
+        if any(s not in self.A.simplices for s in chain_boundary(z).support):
+            raise ContractError("chain is not a relative cycle")
+        core = self._reduction()
+        for r, u, column in core.log[k]:
+            f = vec[r] * u
+            if f:
+                for s, x in column.items():
+                    vec[s] -= f * x
+        data = self._degree(k)
+        kappa = mat_vec(data.qinv, [vec[i] for i in core.cells[k]])[data.rank_boundary_out :]
         w = mat_vec(data.p2, kappa)
         residues = tuple(w[i] % d for i, d in enumerate(data.diagonal) if d > 1)
         orders = tuple(d for d in data.diagonal if d > 1)
@@ -429,9 +508,5 @@ def evaluate(
     for s in boundary.maximal_simplices:
         if a.apply(s) not in A.simplices:
             raise MapError(f"not a map of pairs: {s} lands on {a.apply(s)} outside the subpair")
-    pushed = pushforward(a, z)
-    relative = IntChain(
-        pushed.degree,
-        {s: c for s, c in pushed.coefficients.items() if s not in A.simplices},
-    )
-    return homology(a.target, A).coordinates(relative)
+    # Coordinates quotient the simplices of A away.
+    return homology(a.target, A).coordinates(pushforward(a, z))

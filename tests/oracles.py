@@ -31,6 +31,7 @@ from circuitsmith import (
     restrict_closed,
 )
 from circuitsmith.limits import ProductMapResult
+from circuitsmith.snf import smith_normal_form
 
 
 def oracle_snf_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -124,7 +125,7 @@ def oracle_inverse(matrix: list[list[int]]) -> list[list[int]] | None:
         for i in range(n):
             if i != col and a[i][col]:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[col])]
     inverse = [row[n:] for row in a]
     if any(x.denominator != 1 for row in inverse for x in row):
         return None
@@ -173,6 +174,59 @@ def oracle_homology(
         if tors:
             torsion[k] = sorted(tors)
     return betti, torsion
+
+
+def _oracle_degree(K: SimplicialComplex, A: SimplicialComplex, k: int):
+    """The full-size coordinate path: the relative basis of degree k, the
+    rank r and Qinv of the tracked Smith form of the whole outgoing
+    boundary, and the tracked Smith form of the kernel coordinates, rows
+    r.. of Qinv times the whole incoming boundary."""
+    excluded = A.simplices
+    basis = [s for s in K.simplices_of_dim(k) if s not in excluded]
+    out = smith_normal_form(oracle_boundary_matrix(K, k, excluded), cols=len(basis))
+    above = len([s for s in K.simplices_of_dim(k + 1) if s not in excluded])
+    kernel = mat_mul(out.Qinv[out.rank:], oracle_boundary_matrix(K, k + 1, excluded))
+    return basis, out.rank, out.Qinv, smith_normal_form(kernel, cols=above)
+
+
+def oracle_coordinates(
+    K: SimplicialComplex, A: SimplicialComplex | None, z: IntChain
+) -> Coordinates:
+    """Homology coordinates of a relative cycle by the full-size path, the
+    reference for the library's reduction to a core."""
+    k = z.degree
+    if not 0 <= k <= K.dim:
+        return Coordinates(k, (), (), ())
+    basis, r, qinv, inc = _oracle_degree(K, A or SimplicialComplex.empty(), k)
+    vec = [z.coefficients.get(s, 0) for s in basis]
+    u = [sum(x * y for x, y in zip(row, vec)) for row in qinv]
+    assert not any(u[:r]), "chain is not a relative cycle"
+    w = [sum(x * y for x, y in zip(row, u[r:])) for row in inc.P]
+    diagonal = [d for d in inc.diagonal if d]
+    orders = tuple(d for d in diagonal if d > 1)
+    residues = tuple(w[i] % d for i, d in enumerate(diagonal) if d > 1)
+    return Coordinates(k, tuple(w[len(diagonal):]), residues, orders)
+
+
+def oracle_generators(
+    K: SimplicialComplex, A: SimplicialComplex | None, k: int
+) -> tuple[list[IntChain], list[IntChain]]:
+    """The free and torsion generators of degree k that ``oracle_coordinates``
+    reads off: columns r.. of the inverse of Qinv, combined by the columns
+    of the inverse of the kernel row transform."""
+    basis, r, qinv, inc = _oracle_degree(K, A or SimplicialComplex.empty(), k)
+    q, p2inv = oracle_inverse(qinv), oracle_inverse(inc.P)
+    assert q is not None and p2inv is not None
+    n = len(basis)
+
+    def chain(j: int) -> IntChain:
+        return IntChain(k, {basis[i]: sum(q[i][r + t] * p2inv[t][j] for t in range(n - r))
+                            for i in range(n)})
+
+    diagonal = [d for d in inc.diagonal if d]
+    free = [chain(j) for j in range(len(diagonal), n - r)]
+    torsion = [chain(i) for i, d in enumerate(diagonal) if d > 1]
+    return free, torsion
 
 
 def connecting_coordinates(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import weakref
 from pathlib import Path
@@ -140,9 +141,10 @@ class TestHomologyCommand:
         assert code == 0
         assert payload["torsion"] == {"1": [2]}
 
-    def test_dense_cell_guard(self, capsys, tmp_path):
-        # Betti numbers are found sparsely; coordinates of degree 1 need a
-        # 7100 x 7100 row transform, over the dense limit.
+    def test_dense_cell_guard(self, capsys, tmp_path, monkeypatch):
+        # Betti numbers and coordinates both read the core the cycle reduces
+        # to, one vertex and one edge; a dense limit below that core's one
+        # cell refuses coordinates with an error, not a traceback.
         n = 7100
         edges = [[i, (i + 1) % n] for i in range(n)]
         cycle = write(tmp_path, "cycle.json", {"maximal": edges})
@@ -151,10 +153,13 @@ class TestHomologyCommand:
         circuit = write(tmp_path, "circuit.json", {"maximal": edges, "k": 1})
         target = write(tmp_path, "target.json", {"complex": {"maximal": edges}})
         identity = write(tmp_path, "map.json", {"vertex_map": {str(i): i for i in range(n)}})
+        code, payload = run(capsys, ["evaluate", circuit, identity, target])
+        assert code == 0 and payload["coordinates"]["free"] in ([1], [-1])
+        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 0)
         code = main(["evaluate", circuit, identity, target])
         captured = capsys.readouterr()
         assert code == 1
-        assert "row transform of degree 1 has shape 7100 x 7100" in json.loads(captured.out)["error"]
+        assert "column transform of degree 1 has shape 1 x 1" in json.loads(captured.out)["error"]
         assert "Traceback" not in captured.err
 
 
@@ -442,6 +447,32 @@ class TestFundamentalAndEvaluate:
         code, payload = run(capsys, ["evaluate", hexagon, wrap, target])
         assert code == 0
         assert [abs(c) for c in payload["coordinates"]["free"]] == [2]
+
+    def test_evaluate_checks_the_circuit_first(self, capsys, tmp_path):
+        # An edge hangs off the disk: the circuit is not pure, so evaluate
+        # reports the failed verdict with its witness, as fundamental-class
+        # does, instead of coordinates.
+        circuit = write(tmp_path, "impure.json", {
+            "complex": {"maximal": [[0, 1, 2], [2, 3]]}, "boundary": [[0, 1], [1, 2], [0, 2]], "k": 2})
+        target = write(tmp_path, "target.json", {
+            "complex": {"maximal": [[0, 1, 2], [2, 3]]}, "subcomplex": [[0, 1], [1, 2], [0, 2]]})
+        identity = write(tmp_path, "map.json", {"vertex_map": {str(i): i for i in range(4)}})
+        for command in ("evaluate", "fundamental-class"):
+            argv = [command, circuit, identity, target] if command == "evaluate" else [command, circuit]
+            code, payload = run(capsys, argv)
+            assert code == 1 and not payload["valid"]
+            failed = {c["name"]: c["witnesses"] for c in payload["checks"] if not c["passed"]}
+            assert failed == {"purity": [[2, 3]]}
+
+    def test_evaluate_reports_a_non_orientable_circuit(self, capsys, tmp_path):
+        rp2 = [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+               [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5]]
+        circuit = write(tmp_path, "rp2.json", {"maximal": rp2, "k": 2})
+        target = write(tmp_path, "target.json", {"complex": {"maximal": rp2}})
+        identity = write(tmp_path, "map.json", {"vertex_map": {str(i): i for i in range(6)}})
+        code, payload = run(capsys, ["evaluate", circuit, identity, target])
+        assert code == 1 and payload["valid"] is False and payload["orientable"] is False
+        assert payload["witness_cycle"]
 
 
 class TestLimitCommands:

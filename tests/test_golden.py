@@ -21,6 +21,7 @@ from circuitsmith import (
     build_complex,
     cylinder,
     psi,
+    pushforward,
     subdivision_bordism,
     verify_bordism_certificate,
 )
@@ -33,7 +34,7 @@ from circuitsmith.serialize import (
 )
 
 from .conftest import simplex_boundary_complex
-from .oracles import assert_carriers_are_limit_sets
+from .oracles import assert_carriers_are_limit_sets, oracle_coordinates
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -155,6 +156,15 @@ def test_golden_certificate(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_carriers_are_limit_sets(name):
     assert_carriers_are_limit_sets(CASES[name]())
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("psi_")))
+def test_golden_coordinates_match_the_full_size_oracle(name):
+    """The coordinates of each golden target, which the library reads off a
+    reduced core, are exactly those of the full-size path."""
+    cert = CASES[name]()
+    pushed = pushforward(cert.map, cert.fundamental)
+    assert oracle_coordinates(cert.target.X, cert.target.A, pushed) == cert.homology_coordinates
 
 
 def test_foreign_sign_is_rejected(tmp_path, capsys):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
 import importlib
+import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +31,7 @@ from circuitsmith import (
     verify_circuit,
 )
 from circuitsmith.errors import ContractError, OrientationError, ResourceLimitError
-from circuitsmith.snf import smith_diagonal, smith_normal_form
+from circuitsmith.snf import _eliminate, smith_normal_form
 
 from .conftest import simplex_boundary_complex
 from .generators import (
@@ -44,6 +47,8 @@ from .oracles import (
     connecting_coordinates,
     mat_mul,
     oracle_boundary_matrix,
+    oracle_coordinates,
+    oracle_generators,
     oracle_homology,
     oracle_inverse,
     oracle_orientation,
@@ -52,47 +57,93 @@ from .oracles import (
 
 def kept_generators(H, k):
     """Free and torsion generators of degree k, built from the two transforms
-    that H keeps for coordinates: Qinv of the outgoing boundary, whose
-    inverse's columns from the rank on span the relative cycles, and P of
-    the kernel coordinates, whose inverse's columns are the generators in
-    that span.  Both transforms must be unimodular, and each generator must
-    be a relative cycle."""
+    that H keeps for coordinates on its core: Qinv of the core's outgoing
+    boundary, whose inverse's columns from the rank on span the core
+    cycles, and P of the kernel coordinates, whose inverse's columns are the
+    generators in that span.  Both transforms must be unimodular.  Each core
+    generator is lifted to a relative cycle of the whole complex."""
     data = H._degree(k)
-    basis = H._bases[k]
+    cells = H._reduction().cells[k]
     q, p2inv = oracle_inverse(data.qinv), oracle_inverse(data.p2)
     assert q is not None and p2inv is not None
-    r, n = data.rank_boundary_out, len(basis)
+    r, n = data.rank_boundary_out, len(cells)
 
     def chain(j):
-        z = IntChain(k, {
-            basis[i]: sum(q[i][r + t] * p2inv[t][j] for t in range(n - r))
-            for i in range(n)
-        })
-        if k:
-            assert chain_boundary(z).support <= H.A.simplices
-        return z
+        core_chain = {cells[i]: sum(q[i][r + t] * p2inv[t][j] for t in range(n - r)) for i in range(n)}
+        return lift(H, k, core_chain)
 
     free = [chain(j) for j in range(len(data.diagonal), n - r)]
     torsion = [chain(i) for i, d in enumerate(data.diagonal) if d > 1]
     return free, torsion
 
 
+def lift(H, k, core_chain):
+    """The image of a core cycle, given as basis index -> coefficient, under
+    the reduction's inclusion map: the relative cycle that agrees with it on
+    the core, is zero on the rows of the pairs logged under degree k, and is
+    otherwise carried by the cells paired downward.  Those cells have
+    independent boundaries, so the combination is unique; it is solved for
+    over the rationals and must be integral."""
+    R = H._reduction()
+    columns = H._columns(k)
+    skip = set(R.cells[k]) | {r for r, _, _ in R.log[k]}
+    down = [i for i in range(len(columns)) if i not in skip]
+    rows = len(H._bases.get(k - 1, ()))
+    # The augmented system: the boundaries of the downward cells against
+    # minus the boundary of the core chain.
+    aug = [[Fraction(0)] * (len(down) + 1) for _ in range(rows)]
+    for j, i in enumerate(down):
+        for r, sign in columns[i]:
+            aug[r][j] = Fraction(sign)
+    for i, c in core_chain.items():
+        for r, sign in columns[i]:
+            aug[r][-1] -= sign * c
+    coefficients = dict(core_chain)
+    top = 0
+    for j, i in enumerate(down):
+        pivot = next(t for t in range(top, rows) if aug[t][j])  # independent boundaries
+        aug[top], aug[pivot] = aug[pivot], aug[top]
+        aug[top] = [x / aug[top][j] for x in aug[top]]
+        for t in range(rows):
+            if t != top and aug[t][j]:
+                f = aug[t][j]
+                aug[t] = [x - f * y for x, y in zip(aug[t], aug[top])]
+        top += 1
+    assert not any(row[-1] for row in aug[top:]), "the core chain does not lift to a cycle"
+    for j, i in enumerate(down):
+        assert aug[j][-1].denominator == 1
+        coefficients[i] = int(aug[j][-1])
+    z = IntChain(k, {H._bases[k][i]: c for i, c in coefficients.items()})
+    assert chain_boundary(z).support <= H.A.simplices
+    return z
+
+
+def boundary_from_columns(H, k):
+    """The dense relative boundary from degree k to k-1, built from H's
+    sparse columns."""
+    mat = [[0] * len(H._bases.get(k, ())) for _ in H._bases.get(k - 1, ())]
+    for j, column in enumerate(H._columns(k)):
+        for r, sign in column:
+            mat[r][j] = sign
+    return mat
+
+
 class TestBoundaryOperator:
     def test_edge_column(self):
         K = build_complex([[0, 1]])
-        mat = HomologyResult(K)._boundary_matrix(1)
+        mat = boundary_from_columns(HomologyResult(K), 1)
         assert [row[0] for row in mat] == [-1, 1]
 
     def test_triangle_column(self, triangle):
-        mat = HomologyResult(triangle)._boundary_matrix(2)
+        mat = boundary_from_columns(HomologyResult(triangle), 2)
         # rows are the canonically sorted edges (0,1),(0,2),(1,2)
         assert [row[0] for row in mat] == [1, -1, 1]
 
     def test_boundary_squared_is_zero(self, tetra_boundary):
         H = HomologyResult(tetra_boundary)
         for k in range(1, tetra_boundary.dim + 1):
-            dk = H._boundary_matrix(k)
-            dk1 = H._boundary_matrix(k + 1)
+            dk = boundary_from_columns(H, k)
+            dk1 = boundary_from_columns(H, k + 1)
             prod = mat_mul(dk, dk1)
             assert all(all(x == 0 for x in row) for row in prod)
 
@@ -101,7 +152,7 @@ class TestBoundaryOperator:
         for _ in range(15):
             K = random_complex(rng, n_vertices=8, n_generators=6, max_dim=3)
             for k in range(0, K.dim + 2):
-                assert HomologyResult(K)._boundary_matrix(k) == oracle_boundary_matrix(
+                assert boundary_from_columns(HomologyResult(K), k) == oracle_boundary_matrix(
                     K, k, frozenset()
                 )
 
@@ -188,47 +239,61 @@ def _seeded_matrices():
         yield [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)], n
 
 
-def _as_columns(mat, n):
-    """The (row, entry) columns of a dense matrix with n columns."""
-    return [[(i, row[j]) for i, row in enumerate(mat) if row[j]] for j in range(n)]
-
-
 class TestSmithDiagonal:
+    """Betti numbers and torsion read the untracked elimination of the core
+    left by the unit reductions."""
+
     def test_matches_tracked_form_on_seeded_matrices(self):
         for mat, n in _seeded_matrices():
-            res = smith_normal_form(mat, cols=n)
-            assert smith_diagonal(_as_columns(mat, n), len(mat)) == (res.diagonal, res.rank)
+            m = len(mat)
+            untracked = _eliminate([row[:] for row in mat], m, n, None, None)
+            assert untracked == smith_normal_form(mat, cols=n).diagonal
 
     def test_matches_tracked_form_on_boundary_matrices(self):
+        # Each pair logged under degree k-1 splits off a factor 1 of the
+        # boundary from degree k; the core's diagonal holds the rest.
         rng = random.Random(17)
         for _ in range(20):
             K = random_complex(rng, n_vertices=8, max_dim=3)
             for A in (None, random_subcomplex(rng, K)):
                 H = HomologyResult(K, A)
+                excluded = H.A.simplices
                 for k in range(1, K.dim + 1):
-                    d = H._boundary_matrix(k)
+                    d = oracle_boundary_matrix(K, k, excluded)
                     res = smith_normal_form(d, cols=len(H._bases[k]))
-                    assert smith_diagonal(H._columns(k), len(d)) == (res.diagonal, res.rank)
+                    units = [1] * len(H._reduction().log[k - 1])
+                    assert units + H._diagonal(k) == [x for x in res.diagonal if x]
 
-    def test_empty_shapes(self):
-        assert smith_diagonal([], 3) == ([], 0)
-        assert smith_diagonal([[], []], 0) == ([], 0)
+    def test_empty_shapes(self, tetra_boundary):
+        assert _eliminate([], 0, 3, None, None) == []
+        assert _eliminate([[], []], 2, 0, None, None) == []
+        # the core of a sphere has no cell of degree 1
+        H = homology(tetra_boundary)
+        assert [H._core_boundary(k)[1:] for k in range(4)] == [(0, 1), (0, 0), (0, 1), (0, 0)]
+        assert homology(SimplicialComplex.empty()).betti_numbers() == (0,)
 
-    def test_input_is_not_modified(self):
-        for columns in ([[(0, 2), (1, 6)], [(0, 4), (1, 9)]], [[(0, 1), (1, 1)], [(0, 1), (1, -1)]]):
-            copy = [list(column) for column in columns]
-            smith_diagonal(columns, 2)
-            assert columns == copy
+    def test_input_is_not_modified(self, projective_plane):
+        # coordinates replay the log on a copy of the chain: neither the
+        # chain nor the log changes, so a second query reads the same log
+        H = homology(projective_plane)
+        _, (g,) = kept_generators(H, 1)
+        chain = IntChain(1, dict(g.coefficients))
+        log = copy.deepcopy(H._reduction().log)
+        assert H.coordinates(g).torsion == (1,)
+        assert H.betti_numbers() == (1, 0, 0)
+        assert g == chain and H._reduction().log == log
+        assert H.coordinates(g).torsion == (1,)
 
 
 class TestTrackedEliminationOnDemand:
     @pytest.fixture
     def eliminations(self, monkeypatch):
-        """Column counts of each tracked and each sparse elimination, and
-        the row count of each transform that a tracked elimination returns."""
+        """Column counts of each tracked elimination, the shape of each
+        untracked one, the row count of each transform that a tracked
+        elimination returns, and the number of reductions run."""
         # the package's ``homology`` attribute is the function, not the module
         homology_module = importlib.import_module("circuitsmith.homology")
-        calls = {"tracked": [], "diagonal": [], "transforms": []}
+        calls = {"tracked": [], "untracked": [], "transforms": [], "reductions": 0}
 
         def counting_tracked(matrix, cols=None):
             calls["tracked"].append(cols)
@@ -238,12 +303,19 @@ class TestTrackedEliminationOnDemand:
             )
             return res
 
-        def counting_diagonal(columns, rows, check=None):
-            calls["diagonal"].append(len(columns))
-            return smith_diagonal(columns, rows, check)
+        def counting_untracked(a, m, n, p, qinv):
+            calls["untracked"].append((m, n))
+            return _eliminate(a, m, n, p, qinv)
+
+        reduction = HomologyResult._reduction
+
+        def counting_reduction(self):
+            calls["reductions"] += self._reduced is None
+            return reduction(self)
 
         monkeypatch.setattr(homology_module, "smith_normal_form", counting_tracked)
-        monkeypatch.setattr(homology_module, "smith_diagonal", counting_diagonal)
+        monkeypatch.setattr(homology_module, "_eliminate", counting_untracked)
+        monkeypatch.setattr(HomologyResult, "_reduction", counting_reduction)
         return calls
 
     @pytest.fixture
@@ -252,20 +324,24 @@ class TestTrackedEliminationOnDemand:
 
     def test_construction_eliminates_nothing(self, eliminations, projective_plane):
         homology(projective_plane)
-        assert eliminations == {"tracked": [], "diagonal": [], "transforms": []}
+        assert eliminations == {"tracked": [], "untracked": [], "transforms": [], "reductions": 0}
 
     def test_betti_eliminates_only_adjacent_boundaries(self, eliminations, projective_plane):
+        # The core of RP^2 has one cell in each degree; its boundary of
+        # degree 2 is the factor 2, and that of degree 1 meets no row.
         H = homology(projective_plane)
-        n0, n1, n2 = (len(projective_plane.simplices_of_dim(d)) for d in range(3))
         assert H.betti(1) == 0
-        # the boundary out of degree 1 (n1 columns), then the one into it
-        assert eliminations["diagonal"] == [n1, n2]
+        # one reduction of every degree, then the core boundary out of
+        # degree 1 and the one into it
+        assert eliminations["reductions"] == 1
+        assert eliminations["untracked"] == [(0, 1), (1, 1)]
         H.betti(1)
         H.torsion(1)
         H.betti(2)
-        assert eliminations["diagonal"] == [n1, n2, 0]
+        assert eliminations["untracked"] == [(0, 1), (1, 1), (0, 0)]
         assert H.betti_numbers() == (1, 0, 0)
-        assert eliminations["diagonal"] == [n1, n2, 0, n0]
+        assert eliminations["untracked"] == [(0, 1), (1, 1), (0, 0), (0, 1)]
+        assert eliminations["reductions"] == 1
         assert eliminations["tracked"] == []
 
     def test_coordinates_and_evaluate_skip_betti_numbers(self, eliminations, sphere_circuit):
@@ -274,7 +350,7 @@ class TestTrackedEliminationOnDemand:
         identity = SimplicialMap.identity(sphere_circuit.L)
         z = fundamental_class(sphere_circuit, orient_circuit(sphere_circuit))
         assert evaluate(identity, z).free in ((1,), (-1,))
-        assert eliminations["diagonal"] == []
+        assert eliminations["untracked"] == []
         assert eliminations["tracked"]
 
     def test_betti_and_torsion_track_nothing(self, tracked_calls, projective_plane):
@@ -286,30 +362,37 @@ class TestTrackedEliminationOnDemand:
 
     def test_betti_and_torsion_build_no_dense_boundary(self, monkeypatch, projective_plane, triangle,
                                                       triangle_boundary):
-        def refuse(self, k):
-            raise AssertionError(f"dense boundary matrix of degree {k} built")
+        # Every dense matrix is a core boundary, of at most one cell here.
+        homology_module = importlib.import_module("circuitsmith.homology")
+        zeros = homology_module.zeros
+        shapes = []
 
-        monkeypatch.setattr(HomologyResult, "_boundary_matrix", refuse)
+        def recording_zeros(rows, cols):
+            shapes.append((rows, cols))
+            return zeros(rows, cols)
+
+        monkeypatch.setattr(homology_module, "zeros", recording_zeros)
         H = homology(projective_plane)
         assert H.betti_numbers() == (1, 0, 0)
         assert [H.torsion(k) for k in range(3)] == [(), (2,), ()]
         assert homology(triangle, triangle_boundary).betti_numbers() == (0, 0, 1)
+        assert shapes and all(rows * cols <= 1 for rows, cols in shapes)
 
-    def test_coordinates_build_only_their_degree(self, eliminations, tetra_boundary):
-        H = homology(tetra_boundary)
+    def test_coordinates_build_only_their_degree(self, eliminations, projective_plane):
+        H = homology(projective_plane)
         H.betti_numbers()
         z = IntChain(1, {})
         H.coordinates(z)
-        # the outgoing boundary of degree 1 (6 edges), then the kernel
-        # coordinates of the incoming boundary (4 triangles)
-        assert eliminations["tracked"] == [6, 4]
-        # each returns P and Qinv only: P of the 4 x 6 boundary, then P of
-        # the 3 x 4 kernel coordinates (the 6 - 3 cycle coordinates)
-        assert eliminations["transforms"] == [{"P": 4, "Qinv": 6}, {"P": 3, "Qinv": 4}]
+        # the core boundary out of degree 1 (one core edge), then the kernel
+        # coordinates of the core boundary into it (one core triangle)
+        assert eliminations["tracked"] == [1, 1]
+        # each returns P and Qinv only: P of the 0 x 1 boundary, then P of
+        # the 1 x 1 kernel coordinates
+        assert eliminations["transforms"] == [{"P": 0, "Qinv": 1}, {"P": 1, "Qinv": 1}]
         H.coordinates(z)
-        assert eliminations["tracked"] == [6, 4]
+        assert eliminations["tracked"] == [1, 1]
         H.coordinates(IntChain(2, {}))
-        assert eliminations["tracked"] == [6, 4, 4, 0]
+        assert eliminations["tracked"] == [1, 1, 1, 0]
 
 
 class TestDenseCellGuard:
@@ -326,30 +409,70 @@ class TestDenseCellGuard:
         assert peak < 2 * 10**7
 
     def test_boundary_remainder_is_guarded(self, monkeypatch, projective_plane):
-        # Unit pivots reduce the boundary of degree 1 to nothing and the
-        # boundary of degree 2 to one column, the factor 2, on three rows.
-        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 2)
+        # Unit reductions leave one cell of RP^2 in each degree; the core
+        # boundary of degree 2 is the factor 2, one cell, and no other core
+        # boundary meets a row.
+        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 0)
         H = homology(projective_plane)
-        with pytest.raises(ResourceLimitError, match="boundary remainder of degree 2 has shape 3 x 1"):
+        with pytest.raises(ResourceLimitError, match="core boundary of degree 2 has shape 1 x 1"):
             H.betti_numbers()
         assert H.betti(0) == 1
 
     def test_transforms_are_guarded(self, monkeypatch):
-        # Degree 0 of a 100-vertex cycle has an empty boundary out, but its
-        # coordinates need a 100 x 100 column transform.
+        # The complete graph on 12 vertices reduces to one vertex and 55
+        # edges with no boundary, so degree-1 coordinates need a 55 x 55
+        # column transform.
         monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 1000)
-        H = homology(build_complex([[i, (i + 1) % 100] for i in range(100)]))
-        with pytest.raises(ResourceLimitError, match="column transform of degree 0 has shape 100 x 100"):
-            H.coordinates(IntChain(0, {Simplex((0,)): 1}))
+        H = homology(build_complex([[i, j] for i in range(12) for j in range(i + 1, 12)]))
+        cycle = IntChain(1, {Simplex((0, 1)): 1, Simplex((1, 2)): 1, Simplex((0, 2)): -1})
+        with pytest.raises(ResourceLimitError, match="column transform of degree 1 has shape 55 x 55"):
+            H.coordinates(cycle)
 
     def test_kernel_coordinates_are_guarded(self, monkeypatch):
-        # Degree 0 of the complete graph on 12 vertices: the 12 x 12 column
-        # transform passes a 500-cell limit, the 12 x 66 kernel-coordinate
-        # matrix does not.
-        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 500)
+        # Degree 0 of the same core: the 1 x 1 column transform passes a
+        # 50-cell limit, the 1 x 55 kernel-coordinate matrix does not.
+        monkeypatch.setattr(importlib.import_module("circuitsmith.homology"), "MAX_DENSE_CELLS", 50)
         H = homology(build_complex([[i, j] for i in range(12) for j in range(i + 1, 12)]))
-        with pytest.raises(ResourceLimitError, match="kernel-coordinate matrix of degree 0 has shape 12 x 66"):
+        with pytest.raises(ResourceLimitError, match="kernel-coordinate matrix of degree 0 has shape 1 x 55"):
             H.coordinates(IntChain(0, {Simplex((0,)): 1}))
+
+
+def _is_zero(c):
+    return not any(c.free) and not any(c.torsion)
+
+
+class TestCoordinateOracle:
+    def test_agrees_with_the_full_size_path_randomized(self, projective_plane, klein_bottle):
+        """Random integer combinations of the full-size path's generators,
+        plus a boundary, get the same free rank, torsion orders, zero-ness
+        and gcd of the free coordinates from the reduction as from the
+        full-size path; the basis of the free part may differ."""
+        rng = random.Random(61)
+        surfaces = [_facets(projective_plane), _facets(klein_bottle)]
+        checked = Counter()
+        for i in range(200):
+            if i % 4 == 0:
+                K = build_complex(stellar_moves(rng, rng.choice(surfaces), rng.randint(0, 3)))
+            else:
+                K = random_complex(rng, n_vertices=8, n_generators=6, max_dim=3)
+            A = random_subcomplex(rng, K) if i % 2 else None
+            H = homology(K, A)
+            for k in range(K.dim + 1):
+                free, tors = oracle_generators(K, A, k)
+                above = K.simplices_of_dim(k + 1)
+                for _ in range(2):
+                    z = chain_boundary(IntChain(k + 1, {s: rng.randint(-2, 2) for s in above}))
+                    for g in free + tors:
+                        z = z + scale(g, rng.randint(-3, 3))
+                    mine, ref = H.coordinates(z), oracle_coordinates(K, A, z)
+                    assert len(mine.free) == len(ref.free)
+                    assert mine.torsion_orders == ref.torsion_orders
+                    assert _is_zero(mine) == _is_zero(ref)
+                    assert math.gcd(*mine.free) == math.gcd(*ref.free)
+                    checked["relative" if A else "absolute"] += 1
+                    checked["torsion"] += bool(any(ref.torsion))
+                    checked["free"] += bool(any(ref.free))
+        assert min(checked.values()) >= 40, checked
 
 
 def _subdivide(K, m):

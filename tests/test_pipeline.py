@@ -369,6 +369,22 @@ class TestAtScale:
         ok, mismatches = reverify_certificate(payload)
         assert ok and not mismatches
 
+    @pytest.mark.parametrize("n, m, size", [(3, 4, 15_554), (4, 2, 12_600)])
+    def test_identity_of_a_subdivided_sphere(self, n, m, size):
+        # The homology of the target is the cost here.  Dense coordinates
+        # over the whole complex would need a 7 776 x 7 776 row transform on
+        # sd^4 of the boundary of the 3-simplex, over the dense limit; the
+        # reduced core has one cell in degree 0 and one in degree n - 1.
+        K = simplex_boundary_complex(n)
+        for _ in range(m):
+            K = barycentric_subdivision(K).complex
+        assert len(K) == size
+        cert = psi(RelativeCircuitData.closed(K, n - 1), SimplicialMap.identity(K), TargetPair.absolute(K))
+        assert cert.valid
+        assert cert.homology_coordinates.free in ((1,), (-1,))
+        ok, mismatches = reverify_certificate(json.loads(json.dumps(pseudocycle_certificate_to_json(cert))))
+        assert ok and not mismatches
+
 
 class TestBordismInvariance:
     def test_cylinder_connects_a_circuit_to_itself(self, circle_circuit):

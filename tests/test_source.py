@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -239,3 +241,14 @@ def test_public_names_have_callers():
             if used[attr] - (_references(node)[attr] if node else 0) <= 0:
                 uncalled.append(f"{path.name}:{name}")
     assert sorted(uncalled) == []
+
+
+def test_bench_tracer_names_resolve():
+    # The traced bench run looks each span's function up by module and
+    # attribute; a refactor that drops one fails here, not in that run.
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(module, attr) for module, attr in tracer.SPANS.values()
+               if not hasattr(importlib.import_module(module), attr)]
+    assert tracer.SPANS and missing == []
