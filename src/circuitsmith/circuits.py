@@ -343,16 +343,24 @@ def _region_checks(
     ``removed``."""
     region = region_is_pl_manifold(OpenSimplexSet(host, host.simplices - removed), dim)
     mismatch = region.boundary ^ (boundary - removed)
+    unknown = region.verdict is RegionVerdict.UNKNOWN
+    note = f"; Unknown at a link of dimension {dim - region.witness.dim - 1}" if unknown else ""
     return [
         CheckResult(
             region_check[0],
             region.verdict is not RegionVerdict.NO,
             (region.witness,) if region.witness is not None else (),
-            region_check[1],
-            unknown=region.verdict is RegionVerdict.UNKNOWN,
+            region_check[1] + note,
+            unknown=unknown,
         ),
         CheckResult(boundary_check[0], not mismatch, _sorted_witnesses(mismatch), boundary_check[1]),
     ]
+
+
+def _complement_checks(n: int) -> tuple[tuple[str, str], tuple[str, str]]:
+    """(name, detail) of the region and boundary checks of a complement."""
+    return (("complement", f"complement must be a PL {n}-manifold"),
+            ("complement-boundary", "manifold boundary must match"))
 
 
 def verify_manifold_complement(
@@ -364,11 +372,7 @@ def verify_manifold_complement(
         raise StructureError("singular set was built for a different case")
     host, boundary, n, _ = _case(case, data)
     members = sigma.members()
-    checks = _region_checks(
-        host, members, n, boundary.simplices,
-        ("complement", f"complement must be a PL {n}-manifold"),
-        ("complement-boundary", "manifold boundary must match"),
-    )
+    checks = _region_checks(host, members, n, boundary.simplices, *_complement_checks(n))
     if case == "c":
         checks += _region_checks(
             data.L, members, data.k, data.K.simplices,
@@ -384,6 +388,19 @@ def verify_manifold_complement(
             )
         )
     return CircuitVerdict(tuple(checks))
+
+
+def circuit_complement_verdict(data: RelativeCircuitData) -> CircuitVerdict:
+    """The case-b verdict of ``verify_manifold_complement`` on a circuit that
+    passes ``verify_circuit``, read off without recognition.
+
+    The circuit axioms make L minus S a PL k-manifold with boundary K minus
+    S, classifying every simplex in the host L.  S has dimension at most k-2
+    and meets K in dimension at most k-3, so it lies in the case-b singular
+    set; the complement of that set is an open part of L minus S, and its
+    boundary is K minus the singular set, as predicted.  Both checks pass.
+    """
+    return CircuitVerdict(tuple(CheckResult(name, True, detail=d) for name, d in _complement_checks(data.k)))
 
 
 def skeleton_complement_inclusions(

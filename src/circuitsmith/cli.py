@@ -16,13 +16,14 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .circuits import glue, singular_set, verify_circuit, verify_nullbordism
+from .circuits import glue, singular_set, verify_circuit
 from .errors import CircuitsmithError, MalformedInputError, PipelineError
-from .homology import evaluate, fundamental_class, homology, orient_circuit
+from .homology import homology
 from .limits import compose as compose_maps
 from .limits import is_proper, limit_set
 from .limits import product as product_maps
 from .obstructions import dual_complex
+from .pipeline import circuit_stage, evaluate_stages, fundamental_class_stages, nullbordism_stage
 from .pipeline import psi, verify_bordism_certificate
 from .serialize import dumps
 
@@ -77,16 +78,11 @@ def cmd_sigma(args) -> int:
     payload = _load(args.file)
     if args.case == "c":
         data = serialize.bordism_from_json(payload)
-        verdict = verify_nullbordism(data, data.designated_circuit())
+        nullbordism_stage(data)
     else:
         data = serialize.circuit_from_json(payload)
-        verdict = verify_circuit(data)
-    if not verdict.valid:
-        payload = serialize.verdict_to_json(verdict)
-        _emit(payload)
-        return _verdict_exit(payload)
-    sigma = singular_set(args.case, data)
-    _emit(serialize.singular_set_to_json(sigma))
+        circuit_stage(data)
+    _emit(serialize.singular_set_to_json(singular_set(args.case, data)))
     return EXIT_VALID
 
 
@@ -121,26 +117,9 @@ def cmd_homology(args) -> int:
     return EXIT_VALID
 
 
-def _fundamental_class(data):
-    """Verify the circuit, orient it and build its fundamental class, as
-    ``psi`` does first.  Returns the failure report, or None and the
-    orientation and class."""
-    verdict = verify_circuit(data)
-    if not verdict.valid:
-        return serialize.verdict_to_json(verdict), None, None
-    o = orient_circuit(data)
-    if not o.orientable:
-        return {"valid": False, "orientable": False,
-                "witness_cycle": serialize.simplices_to_json(o.witness_cycle)}, None, None
-    return None, o, fundamental_class(data, o)
-
-
 def cmd_fundamental_class(args) -> int:
     data = serialize.circuit_from_json(_load(args.circuit))
-    failure, o, z = _fundamental_class(data)
-    if failure is not None:
-        _emit(failure)
-        return _verdict_exit(failure)
+    _, o, z = fundamental_class_stages(data)
     _emit({"valid": True, "orientation": serialize.orientation_to_json(o),
            "fundamental_class": serialize.chain_to_json(z)})
     return EXIT_VALID
@@ -150,11 +129,7 @@ def cmd_evaluate(args) -> int:
     data = serialize.circuit_from_json(_load(args.circuit))
     target = serialize.target_from_json(_load(args.target))
     a = serialize.vertex_map_from_json(_load(args.map), data.L, target.X)
-    failure, _, z = _fundamental_class(data)
-    if failure is not None:
-        _emit(failure)
-        return _verdict_exit(failure)
-    coords = evaluate(a, z, target.A, data.K)
+    coords = evaluate_stages(data, a, target)[-1]
     _emit({"coordinates": serialize.coordinates_to_json(coords)})
     return EXIT_VALID
 

@@ -363,14 +363,15 @@ def star(S: OpenSimplexSet, K: SimplicialComplex) -> OpenSimplexSet:
     """All simplices of K having some face in S (an open set in |K|)."""
     if S.host is not K and S.host.simplices != K.simplices:
         raise NotFoundError("star: S must be hosted in K")
-    members: set[Simplex] = set()
+    members: set[tuple[int, ...]] = set()
     for s in S.members:
         # A member already reached is a coface of an earlier one, and so are
         # all of its own cofaces.
-        if s not in members:
-            members.add(s)
-            members.update(K._proper_cofaces(s))
-    return OpenSimplexSet(K, frozenset(members))
+        vs = s.vertices
+        if vs not in members:
+            members.add(vs)
+            members.update(tuple(sorted(vs + rest)) for rest in K._links[vs])
+    return OpenSimplexSet(K, frozenset(map(Simplex._trusted, members)))
 
 
 def link(s: Simplex, K: SimplicialComplex) -> SimplicialComplex:

@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
     StructureError,
 )
-from .snf import Matrix, _eliminate, mat_vec, smith_normal_form, zeros
+from .snf import Matrix, _eliminate, identity, mat_vec, smith_normal_form, zeros
 
 # The most cells a dense matrix may have; a larger one would exhaust memory
 # instead of failing here.  Only cores are made dense, and the core of a
@@ -285,10 +285,9 @@ class HomologyResult:
         if data is not None:
             return data
         a, rows, n = self._core_boundary(k)
-        _check_dense(k, ("row transform", rows, rows), ("column transform", n, n))
-        snf_out = smith_normal_form(a, cols=n)
-        r_out, qinv = snf_out.rank, snf_out.Qinv
-        del snf_out  # its row transform is unused
+        _check_dense(k, ("column transform", n, n))
+        qinv = identity(n)
+        r_out = sum(1 for d in _eliminate(a, rows, n, None, qinv) if d)
         core = self._reduction()
         above = core.columns.get(k + 1, ())
         cols, m_rows = len(above), n - r_out

@@ -1,20 +1,21 @@
 """End-to-end certificate pipelines.
 
-``psi`` turns a verified singular relative circuit into a certified
-pseudocycle: the singular set is constructed, its complement certified as a
-manifold, the circuit oriented, its fundamental class evaluated in homology,
-limit carriers taken as the images of the singular set, and the dimension
-bounds and smoothing obstructions reported.  Every checking stage emits
-witnesses and a failed stage aborts the run; no later stage executes after
-a failure.
+Each stage runs here only, and a failed stage raises ``PipelineError`` with
+its name and witnesses; no later stage executes.  The prefixes nest:
+``circuit_stage`` checks the circuit axioms, ``fundamental_class_stages``
+adds the orientation and the fundamental class, ``evaluate_stages`` the
+input check and the evaluation in homology.  ``psi`` is ``evaluate_stages``
+followed by records, and each partial CLI command calls the prefix it needs.
+``verify_bordism_certificate`` runs ``nullbordism_stage`` and then checks
+the complement of the case-c singular set (``manifold-complement``).
 
-The dimension bounds and the vanishing of the obstructions are theorems of
-the construction, so they are recorded in the certificate, not checked: the
+The records are theorems of the construction, so they are not checked: the
 singular set has codimension two and holds no codimension-two simplex of the
-boundary, a simplicial map never raises dimension, and the complement
-retracts onto a complex of dimension at most 3, where every group of sphere
-diffeomorphisms consulted is trivial.  ``tests/test_pipeline.py`` asserts
-both on seeded random certificates.
+boundary, a simplicial map never raises dimension, the complement retracts
+onto a complex of dimension at most 3, where every group of sphere
+diffeomorphisms consulted is trivial, and in case b the circuit axioms make
+the complement a PL manifold (``circuits.circuit_complement_verdict``).
+``tests/test_pipeline.py`` asserts them on seeded random certificates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .circuits import (
     CircuitVerdict,
     RelativeCircuitData,
     SingularSet,
+    circuit_complement_verdict,
     singular_set,
     verify_circuit,
     verify_manifold_complement,
@@ -100,25 +102,23 @@ class PseudocycleCertificate:
         )
 
 
-def _fail(stage: str, message: str, witnesses=(), unknown: bool = False) -> PipelineError:
-    return PipelineError(stage, message, witnesses, unknown)
+def _passed(stage: str, message: str, verdict: CircuitVerdict) -> CircuitVerdict:
+    """The verdict, once valid; otherwise stage ``stage`` fails with the
+    witnesses of its failed checks."""
+    if not verdict.valid:
+        raise PipelineError(stage, message, verdict.witnesses(), verdict.unknown)
+    return verdict
 
 
-def _singular_set_stage(
-    case: str, data: RelativeCircuitData | BordismData
-) -> tuple[SingularSet, CircuitVerdict]:
-    """The case singular set and the verdict on its complement; a complement
-    that fails its manifold checks fails the ``manifold-complement`` stage."""
-    sigma = singular_set(case, data)
-    complement = verify_manifold_complement(case, data, sigma)
-    if not complement.valid:
-        raise _fail(
-            "manifold-complement",
-            "complement of the singular set failed manifold checks",
-            tuple(w for c in complement.checks for w in c.witnesses),
-            unknown=complement.unknown,
-        )
-    return sigma, complement
+def circuit_stage(circuit: RelativeCircuitData) -> CircuitVerdict:
+    """Stage ``verify-circuit``: the circuit axioms."""
+    return _passed("verify-circuit", "circuit axioms failed", verify_circuit(circuit))
+
+
+def nullbordism_stage(R: BordismData) -> CircuitVerdict:
+    """Stage ``verify-nullbordism``: the nullbordism axioms."""
+    return _passed("verify-nullbordism", "nullbordism axioms failed",
+                   verify_nullbordism(R, R.designated_circuit()))
 
 
 def _carrier(a: SimplicialMap, punctures: SimplicialComplex) -> OpenSimplexSet:
@@ -130,6 +130,58 @@ def _carrier(a: SimplicialMap, punctures: SimplicialComplex) -> OpenSimplexSet:
     return OpenSimplexSet(a.target, frozenset(a.apply(s) for s in punctures.simplices))
 
 
+def fundamental_class_stages(
+    circuit: RelativeCircuitData, orientation: OrientationAssignment | None = None
+) -> tuple[CircuitVerdict, OrientationAssignment, IntChain]:
+    """``psi`` up to its fundamental class: stages ``verify-circuit``,
+    ``orientation`` and ``fundamental-class``.
+
+    A given ``orientation`` is trusted only once its signs are 1 or -1 on
+    exactly the k-simplices of the circuit; otherwise the orientation stage
+    fails.
+    """
+    verdict = circuit_stage(circuit)
+    if orientation is None:
+        orientation = orient_circuit(circuit)
+    elif orientation.orientable:
+        tops = set(circuit.L.simplices_of_dim(circuit.k))
+        off = {s for s, c in orientation.signs.items() if s not in tops or c not in (1, -1)}
+        off |= tops.difference(orientation.signs)
+        if off:
+            raise PipelineError(
+                "orientation",
+                f"given signs must be 1 or -1 on exactly the {circuit.k}-simplices of the circuit",
+                sorted(off, key=lambda s: s.sort_key),
+            )
+    if not orientation.orientable:
+        raise PipelineError("orientation", "circuit is not orientable", orientation.witness_cycle)
+    try:
+        z = fundamental_class(circuit, orientation)
+    except OrientationError as exc:
+        raise PipelineError("fundamental-class", str(exc), exc.witness)
+    return verdict, orientation, z
+
+
+def evaluate_stages(
+    circuit: RelativeCircuitData,
+    a: SimplicialMap,
+    target: TargetPair,
+    orientation: OrientationAssignment | None = None,
+) -> tuple[CircuitVerdict, OrientationAssignment, IntChain, Coordinates]:
+    """``psi`` up to its homology coordinates: stage ``input``, then
+    ``fundamental_class_stages``, then stage ``evaluate``."""
+    if a.source.simplices != circuit.L.simplices:
+        raise PipelineError("input", "map source must be the circuit complex")
+    if a.target.simplices != target.X.simplices:
+        raise PipelineError("input", "map target must be the target complex")
+    verdict, orientation, z = fundamental_class_stages(circuit, orientation)
+    try:
+        coords = evaluate(a, z, target.A, circuit.K)
+    except MapError as exc:
+        raise PipelineError("evaluate", str(exc))
+    return verdict, orientation, z, coords
+
+
 def psi(
     circuit: RelativeCircuitData,
     a: SimplicialMap,
@@ -138,55 +190,15 @@ def psi(
 ) -> PseudocycleCertificate:
     """Certify a singular relative circuit as a pseudocycle.
 
-    Stages run in order: circuit axioms, singular set, manifold complement,
-    orientation, fundamental class, homology evaluation; the limit carriers,
-    dimension bounds and obstruction report are then recorded.  The first
-    failing stage raises ``PipelineError`` with its witnesses.  A given
-    ``orientation`` is trusted only once its signs are 1 or -1 on exactly
-    the k-simplices of the circuit; otherwise the orientation stage fails.
+    Stages run in order: ``evaluate_stages``, that is the input, circuit
+    axioms, orientation, fundamental class and homology evaluation; the
+    first failing stage raises ``PipelineError`` with its witnesses.  The
+    singular set, its complement verdict, the limit carriers, dimension
+    bounds and obstruction report are then recorded.
     """
     k = circuit.k
-    if a.source.simplices != circuit.L.simplices:
-        raise _fail("input", "map source must be the circuit complex")
-    if a.target.simplices != target.X.simplices:
-        raise _fail("input", "map target must be the target complex")
-
-    verdict = verify_circuit(circuit)
-    if not verdict.valid:
-        raise _fail(
-            "verify-circuit",
-            "circuit axioms failed",
-            verdict.witnesses(),
-            unknown=verdict.unknown,
-        )
-
-    sigma, complement = _singular_set_stage("b", circuit)
-
-    if orientation is None:
-        orientation = orient_circuit(circuit)
-    elif orientation.orientable:
-        tops = set(circuit.L.simplices_of_dim(k))
-        off = {s for s, c in orientation.signs.items() if s not in tops or c not in (1, -1)}
-        off |= tops.difference(orientation.signs)
-        if off:
-            raise _fail(
-                "orientation",
-                f"given signs must be 1 or -1 on exactly the {k}-simplices of the circuit",
-                sorted(off, key=lambda s: s.sort_key),
-            )
-    if not orientation.orientable:
-        raise _fail("orientation", "circuit is not orientable", orientation.witness_cycle)
-
-    try:
-        z = fundamental_class(circuit, orientation)
-    except OrientationError as exc:
-        raise _fail("fundamental-class", str(exc), exc.witness)
-
-    try:
-        coords = evaluate(a, z, target.A, circuit.K)
-    except MapError as exc:
-        raise _fail("evaluate", str(exc))
-
+    verdict, orientation, z, coords = evaluate_stages(circuit, a, target, orientation)
+    sigma = singular_set("b", circuit)
     limit_carrier = _carrier(a, sigma.complex)
     boundary_carrier = _carrier(a, sigma.complex.intersection(circuit.K))
 
@@ -197,7 +209,7 @@ def psi(
         k=k,
         circuit_verdict=verdict,
         sigma=sigma,
-        complement_verdict=complement,
+        complement_verdict=circuit_complement_verdict(circuit),
         orientation=orientation,
         fundamental=z,
         homology_coordinates=coords,
@@ -250,20 +262,14 @@ def verify_bordism_certificate(
     """
     k = R.k
     if d_map.source.simplices != R.N.simplices:
-        raise _fail("input", "map source must be the bordism complex")
+        raise PipelineError("input", "map source must be the bordism complex")
     if d_map.target.simplices != target.X.simplices:
-        raise _fail("input", "map target must be the target complex")
+        raise PipelineError("input", "map target must be the target complex")
 
-    verdict = verify_nullbordism(R, R.designated_circuit())
-    if not verdict.valid:
-        raise _fail(
-            "verify-nullbordism",
-            "nullbordism axioms failed",
-            verdict.witnesses(),
-            unknown=verdict.unknown,
-        )
-
-    sigma, complement = _singular_set_stage("c", R)
+    verdict = nullbordism_stage(R)
+    sigma = singular_set("c", R)
+    complement = _passed("manifold-complement", "complement of the singular set failed manifold checks",
+                         verify_manifold_complement("c", R, sigma))
 
     limit_carrier = _carrier(d_map, sigma.complex)
     side = SimplicialComplex.from_simplices(R.M.simplices - R.L.simplices)

@@ -140,23 +140,18 @@ def region_is_pl_manifold(U: OpenSimplexSet, k: int) -> RegionReport:
     of a member is a member, so the link of a member in the closure of U is
     its link in the host, and each open simplex is classified in the host
     directly (memoised there, so repeated checks on one host are free).
-    Boundary simplices are reported so callers can match boundaries.
+    Boundary simplices are reported so callers can match boundaries.  The
+    witness is the first non-manifold simplex, else the first Unknown one.
     """
     if not U.members:
         return RegionReport(RegionVerdict.YES, None, {}, frozenset())
     if not U.is_open:
         raise ContractError("region check requires an open set (complement must be face-closed)")
     classification = {s: _classified(s.vertices, U.host, k) for s in U.sorted_members}
-    witness = None
-    for s in U.sorted_members:
-        if classification[s] is PointClass.NON_MANIFOLD:
-            witness = s
-            break
     boundary = frozenset(s for s, c in classification.items() if c is PointClass.BOUNDARY_MANIFOLD)
-    if witness is not None:
-        verdict = RegionVerdict.NO
-    elif PointClass.UNKNOWN in classification.values():
-        verdict = RegionVerdict.UNKNOWN
-    else:
-        verdict = RegionVerdict.YES
-    return RegionReport(verdict, witness, classification, boundary)
+    for verdict, point in ((RegionVerdict.NO, PointClass.NON_MANIFOLD),
+                           (RegionVerdict.UNKNOWN, PointClass.UNKNOWN)):
+        witness = next((s for s in U.sorted_members if classification[s] is point), None)
+        if witness is not None:
+            return RegionReport(verdict, witness, classification, boundary)
+    return RegionReport(RegionVerdict.YES, None, classification, boundary)

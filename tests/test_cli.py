@@ -109,8 +109,20 @@ class TestSigma:
         # read as a bordism, the disk has dimension 2 where 3 is needed
         code, payload = run(capsys, ["sigma", "--case", "c", disk_circuit_file])
         assert code == 1 and not payload["valid"]
-        witnesses = [w for c in payload["checks"] if not c["passed"] for w in c["witnesses"]]
-        assert [0, 1, 2] in witnesses
+        assert payload["stage"] == "verify-nullbordism"
+        assert [0, 1, 2] in payload["witnesses"]
+
+    @pytest.mark.parametrize("case", ["a", "b"])
+    def test_cases_a_and_b_check_the_circuit(self, capsys, tmp_path, case):
+        # two tetrahedron boundaries sharing vertex 3, with no singular candidate
+        wedge = write(tmp_path, "wedge.json", {"maximal": [
+            [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3],
+            [3, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6],
+        ], "k": 2})
+        code, payload = run(capsys, ["sigma", "--case", case, wedge])
+        assert code == 1 and not payload["valid"]
+        assert payload["stage"] == "verify-circuit"
+        assert [3] in payload["witnesses"]
 
 
 class TestHomologyCommand:
@@ -428,7 +440,8 @@ class TestFundamentalAndEvaluate:
         )
         code, payload = run(capsys, ["fundamental-class", rp2])
         assert code == 1 and not payload["valid"]
-        assert payload["witness_cycle"]
+        assert payload["stage"] == "orientation"
+        assert payload["witnesses"] and all(len(w) == 3 for w in payload["witnesses"])
 
     def test_evaluate_degree_two(self, capsys, tmp_path):
         hexagon = write(
@@ -450,8 +463,8 @@ class TestFundamentalAndEvaluate:
 
     def test_evaluate_checks_the_circuit_first(self, capsys, tmp_path):
         # An edge hangs off the disk: the circuit is not pure, so evaluate
-        # reports the failed verdict with its witness, as fundamental-class
-        # does, instead of coordinates.
+        # fails at stage verify-circuit with its witness, as
+        # fundamental-class does, instead of printing coordinates.
         circuit = write(tmp_path, "impure.json", {
             "complex": {"maximal": [[0, 1, 2], [2, 3]]}, "boundary": [[0, 1], [1, 2], [0, 2]], "k": 2})
         target = write(tmp_path, "target.json", {
@@ -461,8 +474,8 @@ class TestFundamentalAndEvaluate:
             argv = [command, circuit, identity, target] if command == "evaluate" else [command, circuit]
             code, payload = run(capsys, argv)
             assert code == 1 and not payload["valid"]
-            failed = {c["name"]: c["witnesses"] for c in payload["checks"] if not c["passed"]}
-            assert failed == {"purity": [[2, 3]]}
+            assert payload["stage"] == "verify-circuit"
+            assert payload["witnesses"] == [[2, 3]]
 
     def test_evaluate_reports_a_non_orientable_circuit(self, capsys, tmp_path):
         rp2 = [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -471,8 +484,16 @@ class TestFundamentalAndEvaluate:
         target = write(tmp_path, "target.json", {"complex": {"maximal": rp2}})
         identity = write(tmp_path, "map.json", {"vertex_map": {str(i): i for i in range(6)}})
         code, payload = run(capsys, ["evaluate", circuit, identity, target])
-        assert code == 1 and payload["valid"] is False and payload["orientable"] is False
-        assert payload["witness_cycle"]
+        assert code == 1 and payload["valid"] is False and payload["stage"] == "orientation"
+        assert payload["witnesses"] and all(len(w) == 3 for w in payload["witnesses"])
+
+    def test_evaluate_reports_a_map_that_is_not_a_map_of_pairs(self, capsys, tmp_path, disk_circuit_file):
+        # The disk's boundary must land in the subpair, which is empty here.
+        target = write(tmp_path, "target.json", {"complex": {"maximal": [[0, 1, 2]]}})
+        identity = write(tmp_path, "map.json", {"vertex_map": {"0": 0, "1": 1, "2": 2}})
+        code, payload = run(capsys, ["evaluate", disk_circuit_file, identity, target])
+        assert code == 1 and payload["valid"] is False and payload["stage"] == "evaluate"
+        assert "not a map of pairs" in payload["error"] and payload["witnesses"] == []
 
 
 class TestLimitCommands:
@@ -693,13 +714,31 @@ def test_readme_cli_block_matches_the_parser():
 
 
 class TestUnknownExitCode:
-    def test_four_sphere_recognition_is_unknown(self, capsys, tmp_path):
+    @pytest.fixture
+    def four_sphere(self, tmp_path):
         verts = list(range(6))
         faces = [verts[:i] + verts[i + 1 :] for i in range(6)]
-        f = write(tmp_path, "s4.json", {"maximal": faces, "k": 4})
-        code, payload = run(capsys, ["check-circuit", f, "--k", "4"])
+        return write(tmp_path, "s4.json", {"maximal": faces, "k": 4})
+
+    def test_four_sphere_recognition_is_unknown(self, capsys, four_sphere):
+        code, payload = run(capsys, ["check-circuit", four_sphere, "--k", "4"])
         assert code == 2
         assert payload["unknown"]
+        # the first undecided simplex is vertex 0, whose link is a 3-sphere
+        unknown = [c for c in payload["checks"] if c["unknown"]]
+        assert [c["witnesses"] for c in unknown] == [[[0]]]
+        assert unknown[0]["detail"].endswith("Unknown at a link of dimension 3")
+
+    def test_every_stage_prefix_names_the_undecided_simplex(self, capsys, tmp_path, four_sphere):
+        target = write(tmp_path, "target.json", {"complex": {"maximal": [[0, 1, 2, 3, 4, 5]]}})
+        identity = write(tmp_path, "map.json", {"vertex_map": {str(i): i for i in range(6)}})
+        for argv in (["psi", four_sphere, identity, target],
+                     ["evaluate", four_sphere, identity, target],
+                     ["fundamental-class", four_sphere],
+                     ["sigma", "--case", "a", four_sphere]):
+            code, payload = run(capsys, argv)
+            assert code == 2, argv
+            assert payload["stage"] == "verify-circuit" and payload["witnesses"] == [[0]]
 
 
 class TestInstanceCap:

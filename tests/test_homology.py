@@ -290,7 +290,7 @@ class TestTrackedEliminationOnDemand:
     def eliminations(self, monkeypatch):
         """Column counts of each tracked elimination, the shape of each
         untracked one, the row count of each transform that a tracked
-        elimination returns, and the number of reductions run."""
+        elimination keeps, and the number of reductions run."""
         # the package's ``homology`` attribute is the function, not the module
         homology_module = importlib.import_module("circuitsmith.homology")
         calls = {"tracked": [], "untracked": [], "transforms": [], "reductions": 0}
@@ -303,8 +303,14 @@ class TestTrackedEliminationOnDemand:
             )
             return res
 
-        def counting_untracked(a, m, n, p, qinv):
-            calls["untracked"].append((m, n))
+        def counting_eliminate(a, m, n, p, qinv):
+            if p is None and qinv is None:
+                calls["untracked"].append((m, n))
+            else:
+                calls["tracked"].append(n)
+                calls["transforms"].append(
+                    {name: len(t) for name, t in (("P", p), ("Qinv", qinv)) if t is not None}
+                )
             return _eliminate(a, m, n, p, qinv)
 
         reduction = HomologyResult._reduction
@@ -314,7 +320,7 @@ class TestTrackedEliminationOnDemand:
             return reduction(self)
 
         monkeypatch.setattr(homology_module, "smith_normal_form", counting_tracked)
-        monkeypatch.setattr(homology_module, "_eliminate", counting_untracked)
+        monkeypatch.setattr(homology_module, "_eliminate", counting_eliminate)
         monkeypatch.setattr(HomologyResult, "_reduction", counting_reduction)
         return calls
 
@@ -386,9 +392,9 @@ class TestTrackedEliminationOnDemand:
         # the core boundary out of degree 1 (one core edge), then the kernel
         # coordinates of the core boundary into it (one core triangle)
         assert eliminations["tracked"] == [1, 1]
-        # each returns P and Qinv only: P of the 0 x 1 boundary, then P of
-        # the 1 x 1 kernel coordinates
-        assert eliminations["transforms"] == [{"P": 0, "Qinv": 1}, {"P": 1, "Qinv": 1}]
+        # the outgoing elimination keeps Qinv only; the kernel one keeps P
+        # and Qinv of the 1 x 1 kernel coordinates
+        assert eliminations["transforms"] == [{"Qinv": 1}, {"P": 1, "Qinv": 1}]
         H.coordinates(z)
         assert eliminations["tracked"] == [1, 1]
         H.coordinates(IntChain(2, {}))

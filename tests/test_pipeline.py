@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,11 +21,13 @@ from circuitsmith import (
     cylinder,
     homology,
     psi,
+    singular_set,
     subdivision_bordism,
     verify_bordism_certificate,
+    verify_circuit,
     verify_nullbordism,
 )
-from circuitsmith import recognition
+from circuitsmith import pipeline, recognition
 from circuitsmith.errors import PipelineError
 from circuitsmith.serialize import (
     bordism_certificate_to_json,
@@ -307,6 +310,83 @@ class TestConstructionTheorems:
                 self.assert_theorems(cert, (cert.bound_main, cert.bound_side), (R.k - 1, R.k - 2))
                 count += 1
         assert count == 36
+
+
+class TestCaseBComplementTheorem:
+    """``psi`` records the case-b complement verdict without recognition.
+    On a circuit that passes the axioms, L minus S is a PL k-manifold with
+    boundary K minus S, and the case-b singular set contains S (S has
+    dimension at most k - 2 and meets K in dimension at most k - 3), so its
+    complement is an open part of that manifold with the predicted
+    boundary."""
+
+    @staticmethod
+    def candidate(rng, L, K, forced=()):
+        """A singular candidate: ``forced`` and a random set of the
+        (k-2)-simplices of L outside K, closed under faces."""
+        k = L.dim
+        picked = [s for s in L.sorted_simplices if s.dim == k - 2 and s not in K and rng.random() < 0.3]
+        return SimplicialComplex.from_simplices([*forced, *picked])
+
+    @staticmethod
+    def wedge(a, b, v):
+        """The facets of a and of b, b relabelled so that the two share
+        exactly vertex v of a, which b's vertex 0 becomes."""
+        shift = 1 + max(u for t in a for u in t)
+        return a + [sorted(v if u == 0 else u + shift for u in t) for t in b]
+
+    @classmethod
+    def circuits(cls, rng):
+        for n in (1, 2, 2, 3):
+            for _ in range(3):
+                facets = stellar_sphere(rng, n, moves=rng.randint(0, 4))
+                sphere = build_complex(facets)
+                yield RelativeCircuitData.closed(sphere, n, cls.candidate(rng, sphere, SimplicialComplex.empty()))
+                hole = facets.pop(rng.randrange(len(facets)))
+                disk = build_complex(facets)
+                rim = SimplicialComplex.from_simplices(Simplex(tuple(hole)).facets())
+                yield RelativeCircuitData(disk, rim, n, cls.candidate(rng, disk, rim))
+        for n in (2, 2, 2, 2, 3, 3, 3, 3):
+            # spheres wedged at a vertex, which the candidate must hold
+            a, b = (stellar_sphere(rng, n, moves=rng.randint(0, 3)) for _ in range(2))
+            v = rng.choice(sorted({u for t in a for u in t}))
+            L = build_complex(cls.wedge(a, b, v))
+            yield RelativeCircuitData.closed(L, n, cls.candidate(rng, L, SimplicialComplex.empty(), [Simplex((v,))]))
+        for wedged in (False, True) * 4:
+            # 3-disks, alone or wedged at a boundary vertex that the
+            # candidate holds: S meets K
+            facets = stellar_sphere(rng, 3, moves=rng.randint(1, 4))
+            v = rng.choice(facets.pop(rng.randrange(len(facets))))
+            if wedged:
+                other = stellar_sphere(rng, 3, moves=rng.randint(0, 2))
+                other.remove(next(t for t in other if 0 in t))
+                facets = cls.wedge(facets, other, v)
+            L = build_complex(facets)
+            ridges = Counter(f for t in L.simplices_of_dim(3) for f in t.facets())
+            K = SimplicialComplex.from_simplices(f for f, c in ridges.items() if c == 1)
+            yield RelativeCircuitData(L, K, 3, cls.candidate(rng, L, K, [Simplex((v,))]))
+
+    def test_psi_records_what_the_complement_check_finds(self, monkeypatch, circle_circuit):
+        checked = []
+        plain = pipeline.verify_manifold_complement
+
+        def counted(case, data, sigma):
+            checked.append(case)
+            return plain(case, data, sigma)
+
+        monkeypatch.setattr(pipeline, "verify_manifold_complement", counted)
+        rng = random.Random(20261020)
+        count = 0
+        for data in self.circuits(rng):
+            assert verify_circuit(data).valid
+            cert = psi(data, SimplicialMap.identity(data.L), TargetPair(data.L, data.K))
+            assert checked == []
+            assert cert.complement_verdict == plain("b", data, singular_set("b", data))
+            count += 1
+        assert count == 40
+        R = cylinder(circle_circuit).bordism
+        verify_bordism_certificate(R, SimplicialMap.identity(R.N), TargetPair.absolute(R.N))
+        assert checked == ["c"]
 
 
 class TestClassificationOnce:

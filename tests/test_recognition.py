@@ -278,6 +278,17 @@ class TestUnknownScreening:
         report = non_manifold_set(K)
         assert not report.exact
 
+    def test_a_non_manifold_witness_comes_before_an_undecided_one(self):
+        # two copies of the boundary of the 5-simplex wedged at vertex 5:
+        # vertex 0 is undecided, and vertex 5, whose link is two 3-spheres,
+        # is not a manifold point
+        verts = list(range(6))
+        faces = [verts[:i] + verts[i + 1 :] for i in range(6)]
+        K = build_complex(faces + [[v + 5 for v in f] for f in faces])
+        report = region_is_pl_manifold(whole(K), 4)
+        assert report.classification[Simplex((0,))] is PointClass.UNKNOWN
+        assert report.verdict is RegionVerdict.NO and report.witness == Simplex((5,))
+
     def test_necessary_condition_failure_is_conclusive(self):
         # two 4-simplices sharing a 3-face triple-covered: force an incidence
         # failure inside a 3-dimensional link

@@ -61,13 +61,14 @@ def test_no_process_wide_caches():
 # - _classified: the vertex tuple of a simplex of the host, either a region
 #   member or, at l = 2, s plus a vertex w of its link (s + w is a coface of
 #   s in the host), sorted;
-# - _proper_cofaces: a simplex s merged with a row of its link table, the
-#   vertex tuple of a coface of s, sorted.
+# - _proper_cofaces, star: a simplex s merged with a row of its link table,
+#   the vertex tuple of a coface of s, sorted (``star`` also keeps s).
 ALLOWED_TRUSTED = {
     ("complexes.py", "facets"),
     ("complexes.py", "faces"),
     ("complexes.py", "link"),
     ("complexes.py", "_proper_cofaces"),
+    ("complexes.py", "star"),
     ("recognition.py", "_classified"),
 }
 
@@ -156,14 +157,15 @@ README = PACKAGE.parent.parent / "README.md"
 
 
 def _raised_stages(path):
-    """Stage literals passed to ``_fail`` or ``PipelineError`` in one file."""
+    """Stage literals passed to ``PipelineError`` or to ``pipeline._passed``,
+    which raises it, in one file."""
     stages = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if not (isinstance(node, ast.Call) and node.args):
             continue
         name = node.func.id if isinstance(node.func, ast.Name) else None
         first = node.args[0]
-        if name in ("_fail", "PipelineError") and isinstance(first, ast.Constant):
+        if name in ("_passed", "PipelineError") and isinstance(first, ast.Constant):
             stages.add(first.value)
     return stages
 
