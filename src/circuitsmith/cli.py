@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .circuits import glue, singular_set, verify_circuit
-from .errors import CircuitsmithError, MalformedInputError, PipelineError
+from .circuits import _case, glue, singular_set, verify_circuit
+from .errors import CircuitsmithError, MalformedInputError, PipelineError, StructureError
 from .homology import homology
 from .limits import compose as compose_maps
 from .limits import is_proper, limit_set
@@ -73,15 +73,16 @@ def cmd_check_circuit(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    # As in the pipelines, the axioms come first: a singular set built on
-    # data that fails them describes nothing.
-    payload = _load(args.file)
-    if args.case == "c":
-        data = serialize.bordism_from_json(payload)
-        nullbordism_stage(data)
-    else:
-        data = serialize.circuit_from_json(payload)
-        circuit_stage(data)
+    # As in the pipelines, the input and the axioms come first: a singular
+    # set built on data that fails them describes nothing.  ``_case`` states
+    # which data fits which case.
+    case_c = args.case == "c"
+    data = (serialize.bordism_from_json if case_c else serialize.circuit_from_json)(_load(args.file))
+    try:
+        _case(args.case, data)
+    except StructureError as exc:
+        raise PipelineError("input", str(exc))
+    (nullbordism_stage if case_c else circuit_stage)(data)
     _emit(serialize.singular_set_to_json(singular_set(args.case, data)))
     return EXIT_VALID
 

@@ -2,16 +2,18 @@
 fundamental classes, and evaluation of singular circuits in homology.
 
 Homology here gives Betti numbers, torsion and the coordinates of a class;
-it chooses no cycle basis.  All arithmetic is exact (Python ints).  Bases
-are the canonically sorted simplices, and the reduction and the Smith-form
-transforms are deterministic, so homology coordinates are reproducible
-across runs.
+it chooses no cycle basis.  ``_reduce`` reduces a chain complex, given as
+boundary columns, and its core answers every query; ``HomologyResult``
+only encodes a pair as such columns.  All arithmetic is exact (Python
+ints).  Bases are the canonically sorted simplices, and the reduction and
+the Smith-form transforms are deterministic, so homology coordinates are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .circuits import RelativeCircuitData
@@ -55,24 +57,6 @@ class IntChain:
             if s.dim != self.degree:
                 raise StructureError(f"{s} has dimension {s.dim}, chain degree is {self.degree}")
 
-    @classmethod
-    def zero(cls, degree: int) -> "IntChain":
-        return cls(degree, {})
-
-    def __add__(self, other: "IntChain") -> "IntChain":
-        if self.degree != other.degree:
-            raise StructureError("cannot add chains of different degrees")
-        out = dict(self.coefficients)
-        for s, c in other.coefficients.items():
-            out[s] = out.get(s, 0) + c
-        return IntChain(self.degree, out)
-
-    def __neg__(self) -> "IntChain":
-        return IntChain(self.degree, {s: -c for s, c in self.coefficients.items()})
-
-    def __sub__(self, other: "IntChain") -> "IntChain":
-        return self + (-other)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntChain)
@@ -113,17 +97,6 @@ class Coordinates:
 
 
 @dataclass
-class _Reduction:
-    """The chain complex left when no unit entry is left in any boundary,
-    and the log that projects chains onto it."""
-
-    cells: dict[int, list[int]]    # basis indices of the core cells of each degree
-    columns: dict[int, list[dict[int, int]]]  # the core boundary of each core cell
-    log: dict[int, list[tuple[int, int, dict[int, int]]]]  # (r, u, boundary of c) for
-                                                           # each pair whose row r has that degree
-
-
-@dataclass
 class _DegreeData:
     """What coordinates read in one degree of the core: Qinv of the outgoing
     boundary with its rank, and P of the kernel-coordinate matrix with its
@@ -136,132 +109,28 @@ class _DegreeData:
     p2: Matrix                     # row transform of the kernel-coordinate matrix
 
 
-class HomologyResult:
-    """Integer homology of a pair: Betti numbers, torsion and coordinates.
+@dataclass
+class _Reduction:
+    """The chain complex left when no unit entry is left in any boundary,
+    and the log that projects chains onto it; it answers every query.
 
-    Nothing is eliminated up front.  The first query reduces the relative
-    chain complex once, over every degree, by elementary reductions on unit
-    entries of the sparse boundary columns (Kaczynski, Mrozek and Slusarek,
-    Computers Math. Applic. 1998), and keeps the small core that is left
-    and the log of the reductions.  Betti numbers and torsion are read from
-    the core's boundaries; coordinates replay the log of their degree to
-    project a cycle onto the core, then read two tracked dense eliminations
-    of the core.  Each elimination runs on first use and is kept.
-    """
+    Betti numbers and torsion read the core's boundaries; coordinates replay
+    the log of their degree to project a cycle onto the core, then read two
+    tracked dense eliminations of the core.  Each elimination runs on first
+    use and is kept."""
 
-    def __init__(self, K: SimplicialComplex, A: SimplicialComplex | None = None):
-        A = A or SimplicialComplex.empty()
-        if not A.is_subcomplex_of(K):
-            raise StructureError("relative subcomplex must sit inside the complex")
-        self.K = K
-        self.A = A
-        self._reduced: _Reduction | None = None
-        self._degrees: dict[int, _DegreeData] = {}
-        self._diagonals: dict[int, list[int]] = {}
-        self._bases: dict[int, tuple[Simplex, ...]] = {}
-        for d in range(0, K.dim + 1):
-            self._bases[d] = tuple(
-                s for s in K.simplices_of_dim(d) if s not in A.simplices
-            )
-
-    def _columns(self, k: int) -> list[list[tuple[int, int]]]:
-        """Each degree-k basis simplex's relative boundary as (row, sign) pairs;
-        a facet in neither the degree-(k-1) basis nor A raises ``ContractError``."""
-        index = {s.vertices: i for i, s in enumerate(self._bases.get(k - 1, ()))}
-        columns = []
-        for s in self._bases.get(k, ()):
-            vs = s.vertices
-            column = []
-            for i in range(len(vs) if k else 0):
-                f = vs[:i] + vs[i + 1 :]
-                row = index.get(f)
-                if row is not None:
-                    column.append((row, -1 if i % 2 else 1))
-                elif Simplex(f) not in self.A.simplices:
-                    raise ContractError(f"{s} has the face {list(f)}, which is not in "
-                                        "the complex: the simplex set must be face-closed")
-            columns.append(column)
-        return columns
-
-    def _reduction(self) -> _Reduction:
-        """Reduce every degree by unit pivots, once.
-
-        Each pass takes the columns of each degree d+1 in order and pivots
-        on a unit u = <dc, r> of column c that lies in the row r with the
-        fewest nonzeros.  Column operations col -= <col, r> u dc clear row r
-        from the other columns, which leaves the same remainder as row
-        operations would; then c and r are dropped, with the row of c in the
-        boundary above and the column of r in the boundary below, and
-        (r, u, dc) is logged under degree d.  Passes repeat until no unit is
-        left in any degree."""
-        if self._reduced is not None:
-            return self._reduced
-        top = len(self._bases) - 1
-        cols = {d: [dict(column) for column in self._columns(d)] for d in range(1, top + 1)}
-        # rows[d][r]: the live columns of degree d+1 whose boundary meets r
-        rows: dict[int, list[set[int]]] = {d: [set() for _ in self._bases[d]] for d in range(top)}
-        for d, columns in cols.items():
-            for j, col in enumerate(columns):
-                for r in col:
-                    rows[d - 1][r].add(j)
-        paired: dict[int, set[int]] = {d: set() for d in range(top + 1)}
-        log: dict[int, list[tuple[int, int, dict[int, int]]]] = {d: [] for d in range(top + 1)}
-        found = True
-        while found:
-            found = False
-            for d in range(top):
-                columns, support = cols[d + 1], rows[d]
-                for c, col in enumerate(columns):
-                    pivot = None
-                    for r, x in col.items():
-                        if (x == 1 or x == -1) and (pivot is None or len(support[r]) < len(support[pivot])):
-                            pivot = r
-                    if pivot is None:
-                        continue
-                    found = True
-                    u = col[pivot]
-                    for j in support[pivot]:
-                        if j == c:
-                            continue
-                        other = columns[j]
-                        f = other.pop(pivot) * u  # <other, r> / u, as u = 1 / u
-                        for r, x in col.items():
-                            if r == pivot:
-                                continue
-                            y = other.get(r, 0) - f * x
-                            if y:
-                                other[r] = y
-                                support[r].add(j)
-                            else:
-                                del other[r]
-                                support[r].discard(j)
-                    for r in col:
-                        support[r].discard(c)
-                    support[pivot].clear()
-                    columns[c] = {}
-                    if d + 1 < top:
-                        above = cols[d + 2]
-                        for j in rows[d + 1][c]:
-                            del above[j][c]
-                        rows[d + 1][c].clear()
-                    if d > 0:
-                        for r in cols[d][pivot]:
-                            rows[d - 1][r].discard(pivot)
-                        cols[d][pivot] = {}
-                    paired[d + 1].add(c)
-                    paired[d].add(pivot)
-                    log[d].append((pivot, u, col))
-        cells = {d: [i for i in range(len(self._bases[d])) if i not in paired[d]] for d in range(top + 1)}
-        self._reduced = _Reduction(cells, {d: [cols[d][j] for j in cells[d]] for d in cols}, log)
-        return self._reduced
+    cells: dict[int, list[int]]    # indices of the core cells of each degree
+    columns: dict[int, list[dict[int, int]]]  # the core boundary of each core cell
+    log: dict[int, list[tuple[int, int, dict[int, int]]]]  # (r, u, dc) of each pair, by r's degree
+    _diagonals: dict[int, list[int]] = field(default_factory=dict)
+    _degrees: dict[int, _DegreeData] = field(default_factory=dict)
 
     def _core_boundary(self, k: int) -> tuple[Matrix, int, int]:
         """The dense core boundary from degree k to k-1, without the rows
         that no column meets, and its shape."""
-        core = self._reduction()
-        columns = core.columns.get(k, ())
+        columns = self.columns.get(k, ())
         live = sorted({r for col in columns for r in col})
-        m, n = len(live), len(core.cells.get(k, ()))
+        m, n = len(live), len(self.cells.get(k, ()))
         _check_dense(k, ("core boundary", m, n))
         at = {r: i for i, r in enumerate(live)}
         a = zeros(m, n)
@@ -288,14 +157,13 @@ class HomologyResult:
         _check_dense(k, ("column transform", n, n))
         qinv = identity(n)
         r_out = sum(1 for d in _eliminate(a, rows, n, None, qinv) if d)
-        core = self._reduction()
-        above = core.columns.get(k + 1, ())
+        above = self.columns.get(k + 1, ())
         cols, m_rows = len(above), n - r_out
         _check_dense(k, ("kernel-coordinate matrix", m_rows, cols),
                      ("kernel row transform", m_rows, m_rows), ("kernel column transform", cols, cols))
         # Rows r_out.. of Qinv times the incoming boundary; the rows above
         # r_out vanish because boundaries are cycles, so they are never formed.
-        at = {r: i for i, r in enumerate(core.cells[k])}
+        at = {r: i for i, r in enumerate(self.cells[k])}
         m = [[sum(row[at[r]] * x for r, x in column.items()) for column in above] for row in qinv[r_out:]]
         snf_in = smith_normal_form(m, cols=cols)
         diagonal = tuple(d for d in snf_in.diagonal if d)
@@ -303,14 +171,156 @@ class HomologyResult:
         return data
 
     def betti(self, k: int) -> int:
-        if k not in self._bases:
+        if k not in self.cells:
             return 0
-        return len(self._reduction().cells[k]) - len(self._diagonal(k)) - len(self._diagonal(k + 1))
+        return len(self.cells[k]) - len(self._diagonal(k)) - len(self._diagonal(k + 1))
 
     def torsion(self, k: int) -> tuple[int, ...]:
-        if k not in self._bases:
+        if k not in self.cells:
             return ()
         return tuple(d for d in self._diagonal(k + 1) if d > 1)
+
+    def coordinates(self, k: int, vec: list[int]) -> Coordinates:
+        """Homology coordinates of the degree-k cycle whose entry on cell i
+        is ``vec[i]``; the log replay overwrites ``vec``.  The projection
+        cannot see a non-cycle: a cell paired downward projects to zero."""
+        for r, u, column in self.log[k]:
+            f = vec[r] * u
+            if f:
+                for s, x in column.items():
+                    vec[s] -= f * x
+        data = self._degree(k)
+        kappa = mat_vec(data.qinv, [vec[i] for i in self.cells[k]])[data.rank_boundary_out :]
+        w = mat_vec(data.p2, kappa)
+        residues = tuple(w[i] % d for i, d in enumerate(data.diagonal) if d > 1)
+        orders = tuple(d for d in data.diagonal if d > 1)
+        return Coordinates(k, tuple(w[len(data.diagonal) :]), residues, orders)
+
+
+def _reduce(cols: list[list[dict[int, int]]]) -> _Reduction:
+    """Reduce a chain complex by unit pivots over every degree.
+
+    ``cols[d][j]`` is the boundary of cell j of degree d, as {row: entry},
+    and ``cols[0]`` holds one empty column per 0-cell; ``cols`` is consumed.
+    Each elementary reduction is a chain equivalence (Kaczynski, Mrozek and
+    Slusarek, Computers Math. Applic. 1998).
+
+    Each pass takes the columns of each degree d+1 in order and pivots on a
+    unit u = <dc, r> of column c that lies in the row r with the fewest
+    nonzeros.  Column operations col -= <col, r> u dc clear row r from the
+    other columns, which leaves the same remainder as row operations would;
+    then c and r are dropped, with the row of c in the boundary above and
+    the column of r in the boundary below, and (r, u, dc) is logged under
+    degree d.  Passes repeat until no unit is left in any degree."""
+    top = len(cols) - 1
+    # rows[d][r]: the live columns of degree d+1 whose boundary meets r
+    rows: list[list[set[int]]] = [[set() for _ in cols[d]] for d in range(top)]
+    for d in range(1, top + 1):
+        for j, col in enumerate(cols[d]):
+            for r in col:
+                rows[d - 1][r].add(j)
+    paired: list[set[int]] = [set() for _ in range(top + 1)]
+    log: dict[int, list[tuple[int, int, dict[int, int]]]] = {d: [] for d in range(top + 1)}
+    found = True
+    while found:
+        found = False
+        for d in range(top):
+            columns, support = cols[d + 1], rows[d]
+            for c, col in enumerate(columns):
+                pivot = None
+                for r, x in col.items():
+                    if (x == 1 or x == -1) and (pivot is None or len(support[r]) < len(support[pivot])):
+                        pivot = r
+                if pivot is None:
+                    continue
+                found = True
+                u = col[pivot]
+                for j in support[pivot]:
+                    if j == c:
+                        continue
+                    other = columns[j]
+                    f = other.pop(pivot) * u  # <other, r> / u, as u = 1 / u
+                    for r, x in col.items():
+                        if r == pivot:
+                            continue
+                        y = other.get(r, 0) - f * x
+                        if y:
+                            other[r] = y
+                            support[r].add(j)
+                        else:
+                            del other[r]
+                            support[r].discard(j)
+                for r in col:
+                    support[r].discard(c)
+                support[pivot].clear()
+                columns[c] = {}
+                if d + 1 < top:
+                    above = cols[d + 2]
+                    for j in rows[d + 1][c]:
+                        del above[j][c]
+                    rows[d + 1][c].clear()
+                if d > 0:
+                    for r in cols[d][pivot]:
+                        rows[d - 1][r].discard(pivot)
+                    cols[d][pivot] = {}
+                paired[d + 1].add(c)
+                paired[d].add(pivot)
+                log[d].append((pivot, u, col))
+    cells = {d: [i for i in range(len(cols[d])) if i not in paired[d]] for d in range(top + 1)}
+    return _Reduction(cells, {d: [cols[d][j] for j in cells[d]] for d in cells}, log)
+
+
+class HomologyResult:
+    """Integer homology of a pair: Betti numbers, torsion and coordinates.
+
+    It keeps what is simplicial: the relative basis of each degree, the
+    sign rule of the boundary, chain vectors and the relative-cycle check.
+    Nothing is eliminated up front.  The first query hands the boundary
+    columns of every degree to ``_reduce`` once and keeps its result, and
+    that reduction answers every query.
+    """
+
+    def __init__(self, K: SimplicialComplex, A: SimplicialComplex | None = None):
+        A = A or SimplicialComplex.empty()
+        if not A.is_subcomplex_of(K):
+            raise StructureError("relative subcomplex must sit inside the complex")
+        self.K = K
+        self.A = A
+        self._reduced: _Reduction | None = None
+        self._bases: dict[int, tuple[Simplex, ...]] = {
+            d: tuple(s for s in K.simplices_of_dim(d) if s not in A.simplices) for d in range(K.dim + 1)
+        }
+
+    def _columns(self, k: int) -> list[list[tuple[int, int]]]:
+        """Each degree-k basis simplex's relative boundary as (row, sign) pairs;
+        a facet in neither the degree-(k-1) basis nor A raises ``ContractError``."""
+        index = {s.vertices: i for i, s in enumerate(self._bases.get(k - 1, ()))}
+        columns = []
+        for s in self._bases.get(k, ()):
+            vs = s.vertices
+            column = []
+            for i in range(len(vs) if k else 0):
+                f = vs[:i] + vs[i + 1 :]
+                row = index.get(f)
+                if row is not None:
+                    column.append((row, -1 if i % 2 else 1))
+                elif Simplex(f) not in self.A.simplices:
+                    raise ContractError(f"{s} has the face {list(f)}, which is not in "
+                                        "the complex: the simplex set must be face-closed")
+            columns.append(column)
+        return columns
+
+    def _reduction(self) -> _Reduction:
+        """The reduction of the relative chain complex, run on first use."""
+        if self._reduced is None:
+            self._reduced = _reduce([[dict(c) for c in self._columns(d)] for d in self._bases])
+        return self._reduced
+
+    def betti(self, k: int) -> int:
+        return self._reduction().betti(k)
+
+    def torsion(self, k: int) -> tuple[int, ...]:
+        return self._reduction().torsion(k)
 
     def betti_numbers(self) -> tuple[int, ...]:
         return tuple(self.betti(k) for k in range(0, max(self.K.dim, 0) + 1))
@@ -334,22 +344,9 @@ class HomologyResult:
         if k not in self._bases:
             return Coordinates(k, (), (), ())
         vec = self._chain_vector(z)
-        # The projection cannot see a non-cycle: a cell paired downward
-        # projects to zero.
         if any(s not in self.A.simplices for s in chain_boundary(z).support):
             raise ContractError("chain is not a relative cycle")
-        core = self._reduction()
-        for r, u, column in core.log[k]:
-            f = vec[r] * u
-            if f:
-                for s, x in column.items():
-                    vec[s] -= f * x
-        data = self._degree(k)
-        kappa = mat_vec(data.qinv, [vec[i] for i in core.cells[k]])[data.rank_boundary_out :]
-        w = mat_vec(data.p2, kappa)
-        residues = tuple(w[i] % d for i, d in enumerate(data.diagonal) if d > 1)
-        orders = tuple(d for d in data.diagonal if d > 1)
-        return Coordinates(k, tuple(w[len(data.diagonal) :]), residues, orders)
+        return self._reduction().coordinates(k, vec)
 
 
 def homology(K: SimplicialComplex, A: SimplicialComplex | None = None) -> HomologyResult:

@@ -4,7 +4,7 @@ transforms that homology coordinates read or with none.
 Entries are Python ints, so no overflow.  The pivot rule picks a smallest
 nonzero entry to limit coefficient growth during elimination.  Homology
 hands it only the core of a chain complex whose unit entries were reduced
-away sparsely (see ``homology.HomologyResult``).
+away sparsely (see ``homology._reduce``).
 """
 
 from __future__ import annotations

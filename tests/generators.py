@@ -73,6 +73,14 @@ def scale(z: IntChain, c: int) -> IntChain:
     return IntChain(z.degree, {s: c * v for s, v in z.coefficients.items()})
 
 
+def add(z: IntChain, w: IntChain) -> IntChain:
+    """The sum of two chains of the same degree."""
+    out = dict(z.coefficients)
+    for s, c in w.coefficients.items():
+        out[s] = out.get(s, 0) + c
+    return IntChain(z.degree, out)
+
+
 def disjoint_union(A: RelativeCircuitData, B: RelativeCircuitData) -> GlueResult:
     """A and B glued along nothing, B relabelled past the vertices of A."""
     empty = SimplicialComplex.empty()
@@ -223,3 +231,66 @@ def stellar_disk(rng: random.Random, n: int, moves: int) -> list[list[int]]:
     """Facets of the n-simplex after ``moves`` stellar subdivisions: an
     n-disk."""
     return stellar_moves(rng, [list(range(n + 1))], moves)
+
+
+def _add_entry(vec: dict[int, int], r: int, x: int, support: set[int], j: int) -> None:
+    """vec[r] += x, dropping a zero, where vec is column j and ``support``
+    the set of columns that hold entry r."""
+    y = vec.pop(r, 0) + x
+    if y:
+        vec[r] = y
+    (support.add if y else support.discard)(j)
+
+
+def known_complex(
+    rng: random.Random, spec: list[tuple[int, list[int]]], ops: int
+) -> tuple[list[list[dict[int, int]]], list[list[tuple[int, dict[int, int]]]]]:
+    """A chain complex of known homology, scrambled by ``ops`` random changes
+    of basis, as the boundary columns that ``homology._reduce`` takes.
+
+    ``spec[d]`` is the free rank of degree d and the invariant factors, a
+    divisibility chain, of the boundary leaving degree d (none for d = 0).
+    In the canonical complex every boundary is diagonal: degree d holds one
+    cycle per unit of free rank, one cycle per factor of the boundary
+    entering it, and one cell per factor f of the boundary leaving it, whose
+    boundary is f times its partner cycle.  Each change of basis
+    col_i += c col_j on the boundary leaving degree d is matched by
+    row_j -= c row_i on the boundary entering it, so dd = 0 throughout, and
+    H_d is Z^rank plus Z/f for each factor f entering degree d.
+
+    Returns the columns and, for each degree, its generators in the
+    scrambled basis as (order, chain) pairs: order 0 for a free generator,
+    f for the partner cycle of the factor f entering the degree."""
+    top = len(spec) - 1
+    gens = [
+        [(0, {i: 1}) for i in range(rank)]
+        + [(f, {rank + i: 1}) for i, f in enumerate(spec[d + 1][1] if d < top else ())]
+        for d, (rank, _) in enumerate(spec)
+    ]
+    cols: list[list[dict[int, int]]] = [[{} for _ in g] for g in gens]
+    for d in range(1, top + 1):
+        cols[d] += [{spec[d - 1][0] + i: f} for i, f in enumerate(spec[d][1])]
+    # rows[d][r]: the columns of degree d + 1 whose boundary meets cell r of
+    # degree d; held[d][r]: the generators of degree d that hold it
+    rows = [[set() for _ in cols[d]] for d in range(top + 1)]
+    held = [[set() for _ in cols[d]] for d in range(top + 1)]
+    for d in range(top + 1):
+        for j, col in enumerate(cols[d]):
+            for r in col:
+                rows[d - 1][r].add(j)
+        for g, (_, chain) in enumerate(gens[d]):
+            for r in chain:
+                held[d][r].add(g)
+    degrees = [d for d in range(top + 1) if len(cols[d]) > 1]
+    for _ in range(ops if degrees else 0):
+        d = rng.choice(degrees)
+        i, j = rng.sample(range(len(cols[d])), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for r, x in cols[d][j].items():  # col_i += c col_j, leaving degree d
+            _add_entry(cols[d][i], r, c * x, rows[d - 1][r], i)
+        for t in rows[d][i] if d < top else ():  # row_j -= c row_i, entering it
+            _add_entry(cols[d + 1][t], j, -c * cols[d + 1][t][i], rows[d][j], t)
+        for g in held[d][i]:  # and on each generator, a chain of degree d
+            chain = gens[d][g][1]
+            _add_entry(chain, j, -c * chain[i], held[d][j], g)
+    return cols, gens

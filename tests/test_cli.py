@@ -112,6 +112,15 @@ class TestSigma:
         assert payload["stage"] == "verify-nullbordism"
         assert [0, 1, 2] in payload["witnesses"]
 
+    def test_case_a_rejects_a_boundary_as_input(self, capsys, tmp_path, disk_circuit_file):
+        # the case is checked ahead of the axioms, which the second file fails
+        impure = write(tmp_path, "impure.json", {"complex": {"maximal": [[0, 1, 2], [2, 3]]},
+                                                 "boundary": [[0, 1], [1, 2], [0, 2]], "k": 2})
+        for path in (disk_circuit_file, impure):
+            code, payload = run(capsys, ["sigma", "--case", "a", path])
+            assert code == 1 and not payload["valid"]
+            assert payload["stage"] == "input" and "empty boundary" in payload["error"]
+
     @pytest.mark.parametrize("case", ["a", "b"])
     def test_cases_a_and_b_check_the_circuit(self, capsys, tmp_path, case):
         # two tetrahedron boundaries sharing vertex 3, with no singular candidate

@@ -182,6 +182,21 @@ def test_stage_vocabulary_is_documented():
     assert sorted(raised) == sorted(_documented_stages())
 
 
+def test_homology_engine_is_a_function_of_a_chain_complex():
+    # ``_reduce`` takes the boundary columns of every degree and nothing
+    # else, and ``HomologyResult`` only encodes a pair as those columns: no
+    # method of it eliminates or guards a dense matrix, so the pivot loop and
+    # the core algebra each exist once, where the known-complex gate runs them.
+    tree = ast.parse((PACKAGE / "homology.py").read_text())
+    reduce = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_reduce")
+    args = reduce.args
+    assert len(args.posonlyargs + args.args + args.kwonlyargs) == 1 and not (args.vararg or args.kwarg)
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HomologyResult")
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(cls) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert read & {"_eliminate", "smith_normal_form", "_check_dense"} == set()
+
+
 def _assert_lines(path):
     """Line numbers of the ``assert`` statements in one source file."""
     return [n.lineno for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Assert)]
